@@ -27,6 +27,17 @@ fn bench_matmul(mb: &MicroBench) {
             matmul(&a, &b).unwrap()
         });
     }
+    // The generator's encoder level 2 at 256 px, batch 2: 64->128 5x5/2
+    // lowered to [128, 64*25] x [64*25, 2*64*64]. B is 52 MB, so this row
+    // tracks how well the GEMM reuses packed B blocks across row tiles.
+    let (m, k, n) = (128, 1600, 8192);
+    let a = random_tensor(&[m, k], 10);
+    let b = random_tensor(&[k, n], 11);
+    mb.run_costed(
+        &format!("gemm_{m}x{k}x{n}"),
+        KernelCost::gemm(m, n, k),
+        || matmul(&a, &b).unwrap(),
+    );
 }
 
 /// Closed-form cost of one im2col convolution step on a `batch` of
@@ -73,6 +84,18 @@ fn bench_conv(mb: &MicroBench) {
     mb.run_costed(
         "deconv_fwd_4x64x16x16",
         KernelCost::gemm(taps, dcols, 64).plus(KernelCost::col2im(taps, dcols)),
+        || deconv.forward(&z, Phase::Eval).unwrap(),
+    );
+
+    // The generator's decoder at 256 px, batch 2: 512->256 on a 16x16 map.
+    // The GEMM reads the 13 MB weight transposed (Wᵀ·x).
+    let mut deconv = ConvTranspose2d::new(512, 256, 5, 2, 2, 1, &mut rng);
+    let z = random_tensor(&[2, 512, 16, 16], 12);
+    let taps = 256 * 5 * 5;
+    let dcols = 2 * 16 * 16;
+    mb.run_costed(
+        "deconv_fwd_2x512x16x16",
+        KernelCost::gemm(taps, dcols, 512).plus(KernelCost::col2im(taps, dcols)),
         || deconv.forward(&z, Phase::Eval).unwrap(),
     );
 }

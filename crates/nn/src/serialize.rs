@@ -67,25 +67,38 @@ pub fn save_weights<W: Write>(net: &mut dyn Layer, writer: W) -> Result<()> {
     let mut w = writer;
     w.write_all(MAGIC).map_err(io_err)?;
 
-    let mut params: Vec<Tensor> = Vec::new();
-    net.visit_params(&mut |p| params.push(p.value.clone()));
-    write_u32(&mut w, params.len() as u32)?;
-    for t in &params {
-        write_u32(&mut w, t.dims().len() as u32)?;
-        for &d in t.dims() {
-            write_u32(&mut w, d as u32)?;
+    // Each tensor is written straight from the borrowed parameter; the
+    // visitor cannot return early, so the first error is kept and the
+    // remaining writes are skipped.
+    let mut n_params = 0u32;
+    net.visit_params(&mut |_| n_params += 1);
+    write_u32(&mut w, n_params)?;
+    let mut result = Ok(());
+    net.visit_params(&mut |p| {
+        if result.is_ok() {
+            result = write_tensor(&mut w, &p.value);
         }
-        write_f32s(&mut w, t.as_slice())?;
-    }
+    });
+    result?;
 
-    let mut buffers: Vec<Vec<f32>> = Vec::new();
-    net.visit_buffers(&mut |b| buffers.push(b.clone()));
-    write_u32(&mut w, buffers.len() as u32)?;
-    for b in &buffers {
-        write_u32(&mut w, b.len() as u32)?;
-        write_f32s(&mut w, b)?;
+    let mut n_buffers = 0u32;
+    net.visit_buffers(&mut |_| n_buffers += 1);
+    write_u32(&mut w, n_buffers)?;
+    let mut result = Ok(());
+    net.visit_buffers(&mut |b| {
+        if result.is_ok() {
+            result = write_u32(&mut w, b.len() as u32).and_then(|()| write_f32s(&mut w, b));
+        }
+    });
+    result
+}
+
+fn write_tensor<W: Write>(w: &mut W, t: &Tensor) -> Result<()> {
+    write_u32(w, t.dims().len() as u32)?;
+    for &d in t.dims() {
+        write_u32(w, d as u32)?;
     }
-    Ok(())
+    write_f32s(w, t.as_slice())
 }
 
 /// Restores parameters and buffers previously written by [`save_weights`].
@@ -143,17 +156,12 @@ pub fn load_weights<R: Read>(net: &mut dyn Layer, reader: R) -> Result<()> {
     let mut idx = 0;
     let mut shape_err: Option<TensorError> = None;
     net.visit_params(&mut |p| {
-        if shape_err.is_some() {
-            return;
-        }
-        if p.value.dims() != params[idx].dims() {
+        if shape_err.is_none() && p.value.dims() != params[idx].dims() {
             shape_err = Some(TensorError::ShapeMismatch {
                 left: p.value.dims().to_vec(),
                 right: params[idx].dims().to_vec(),
             });
-            return;
         }
-        p.value = params[idx].clone();
         idx += 1;
     });
     if let Some(err) = shape_err {
@@ -163,22 +171,23 @@ pub fn load_weights<R: Read>(net: &mut dyn Layer, reader: R) -> Result<()> {
     let mut bidx = 0;
     let mut len_err: Option<TensorError> = None;
     net.visit_buffers(&mut |b| {
-        if len_err.is_some() {
-            return;
-        }
-        if b.len() != buffers[bidx].len() {
+        if len_err.is_none() && b.len() != buffers[bidx].len() {
             len_err = Some(TensorError::LengthMismatch {
                 expected: b.len(),
                 actual: buffers[bidx].len(),
             });
-            return;
         }
-        b.copy_from_slice(&buffers[bidx]);
         bidx += 1;
     });
     if let Some(err) = len_err {
         return Err(err);
     }
+
+    // Every count, shape and length matched: move the decoded data in.
+    let mut params = params.into_iter();
+    net.visit_params(&mut |p| p.value = params.next().expect("counted above"));
+    let mut buffers = buffers.into_iter();
+    net.visit_buffers(&mut |b| *b = buffers.next().expect("counted above"));
     Ok(())
 }
 
@@ -273,5 +282,23 @@ mod tests {
         different.push(Linear::new(3, 5, &mut rng));
         different.push(Linear::new(5, 2, &mut rng));
         assert!(load_weights(&mut different, bytes.as_slice()).is_err());
+    }
+
+    #[test]
+    fn late_shape_mismatch_leaves_network_untouched() {
+        // The first parameter (3x4 weight) matches, the second does not:
+        // nothing may be loaded, not even the matching prefix.
+        let mut a = small_net(0);
+        let mut bytes = Vec::new();
+        save_weights(&mut a, &mut bytes).unwrap();
+
+        let mut rng = litho_tensor::rng::StdRng::seed_from_u64(7);
+        let mut b = Sequential::new();
+        b.push(Linear::new(3, 4, &mut rng));
+        b.push(Linear::new(4, 3, &mut rng));
+        let x = Tensor::ones(&[1, 3]);
+        let before = b.forward(&x, Phase::Eval).unwrap();
+        assert!(load_weights(&mut b, bytes.as_slice()).is_err());
+        assert_eq!(before, b.forward(&x, Phase::Eval).unwrap());
     }
 }

@@ -1,25 +1,26 @@
 //! Fused convolution backward: weight-gradient GEMM and col2im consumed
 //! while the column buffers are hot.
 //!
-//! The unfused backward pays for two large intermediates at paper shapes
-//! (4×3×256×256 → `cols`/`dcols` are ~20 MB each):
+//! The unfused backward runs two GEMMs over large operands at paper
+//! shapes (4×3×256×256 → `cols`/`dcols` are ~20 MB each):
 //!
-//! * `dW = dy · colsᵀ` first materialises the ~20 MB transpose of `cols`
-//!   into scratch, then GEMMs over it — the matrix is written and re-read
-//!   from DRAM purely to make B contiguous.
+//! * `dW = dy · colsᵀ` packs `cols` panel by panel through the GEMM's
+//!   transposed-B view.
 //! * `dx = col2im(Wᵀ · dy)` materialises the full ~20 MB `dcols` matrix,
-//!   then a second pass re-reads it to scatter into the image.
+//!   then a second pass re-reads it to scatter into the image — a DRAM
+//!   round trip.
 //!
-//! [`conv_backward_fused`] removes both round trips:
+//! [`conv_backward_fused`] replaces both:
 //!
 //! * `dW` streams `dy` and `cols` directly in column blocks sized so the
 //!   `out_c × k` accumulator tile plus both block windows stay
-//!   cache-resident; no transpose is ever built. Each `dW[oc][kk]` is still
+//!   cache-resident; nothing is packed. Each `dW[oc][kk]` is still
 //!   a single sequential fold over columns in ascending order, so the
 //!   scalar level is bit-identical to the unfused `matmul_transpose_b`
 //!   path.
 //! * `dx` walks batch items: a per-thread `[k, oh*ow]` scratch receives
-//!   `Wᵀ · dy_b` (a strided-window GEMM over `dy`'s columns for item `b`)
+//!   `Wᵀ · dy_b` (a GEMM reading `W` transposed in place and `dy`'s
+//!   column window for item `b` at its row stride)
 //!   and is immediately scattered into image plane `b` while still hot —
 //!   1/n of the unfused intermediate, consumed before it leaves cache.
 //!   Per-plane accumulation order matches `col2im_into` exactly (rows
@@ -33,6 +34,7 @@
 use std::cell::RefCell;
 
 use crate::im2col::{valid_range, Im2ColSpec};
+use crate::matmul::MatRef;
 use crate::pool;
 use crate::simd::KernelLevel;
 use crate::{Result, Tensor, TensorError};
@@ -48,8 +50,6 @@ const PARALLEL_THRESHOLD: usize = 1 << 17;
 thread_local! {
     /// Per-thread `[k, oh*ow]` scratch for one batch item's `Wᵀ · dy_b`.
     static DCOLS_ITEM: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Caller-thread scratch for the materialised `Wᵀ` (`[k, out_c]`).
-    static WT_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Fused convolution backward for the im2col-lowered Conv2d.
@@ -203,90 +203,72 @@ fn dx_per_item(
     let dst_len = dst.len();
     let base = pool::SendPtr::new(dst.as_mut_ptr());
 
-    WT_SCRATCH.with(|cell| {
-        let mut wt = cell.borrow_mut();
-        // Materialise Wᵀ once (`[k, out_c]`, a few KB): identical values to
-        // the unfused `matmul_transpose_a` scratch.
-        wt.clear();
-        wt.resize(k * out_c, 0.0);
-        for row in 0..out_c {
-            let w_row = &weight[row * k..(row + 1) * k];
-            for (col, &v) in w_row.iter().enumerate() {
-                wt[col * out_c + row] = v;
-            }
-        }
-        let wt: &[f32] = &wt;
-        let taps = spec.kernel_h * spec.kernel_w;
-
-        let scatter_item = move |b: usize| {
-            DCOLS_ITEM.with(|dc| {
-                let mut dcols = dc.borrow_mut();
-                dcols.clear();
-                dcols.resize(k * item_cols, 0.0);
-                // Strided window GEMM: B is dy's column range for item b,
-                // read in place with row stride `ncols`.
-                crate::matmul::gemm_window_serial(
-                    wt,
-                    &dy[b * item_cols..],
-                    &mut dcols,
-                    k,
-                    out_c,
-                    item_cols,
-                    ncols,
-                    level,
-                );
-                let plane = h * w;
-                for ci in 0..c {
-                    let start = (b * c + ci) * plane;
-                    debug_assert!(start + plane <= dst_len);
-                    // SAFETY: item tasks touch disjoint `b` image planes;
-                    // the buffer outlives the blocking parallel_for call.
-                    let dst_plane =
-                        unsafe { std::slice::from_raw_parts_mut(base.get().add(start), plane) };
-                    dst_plane.fill(0.0);
-                    for ky in 0..spec.kernel_h {
-                        for kx in 0..spec.kernel_w {
-                            let row = ci * taps + ky * spec.kernel_w + kx;
-                            let row_base = row * item_cols;
-                            let off_x = kx as isize - spec.pad_w as isize;
-                            let (ox_lo, ox_hi) = valid_range(off_x, spec.stride_w, w, ow);
-                            if ox_lo >= ox_hi {
+    let taps = spec.kernel_h * spec.kernel_w;
+    let scatter_item = move |b: usize| {
+        DCOLS_ITEM.with(|dc| {
+            let mut dcols = dc.borrow_mut();
+            dcols.clear();
+            dcols.resize(k * item_cols, 0.0);
+            // Wᵀ is read in place (a transposed view of `weight`), and B
+            // is dy's column range for item b with row stride `ncols`.
+            crate::matmul::gemm_serial(
+                MatRef::cols(weight, k),
+                MatRef::rows(&dy[b * item_cols..], ncols),
+                &mut dcols,
+                [k, out_c, item_cols],
+                level,
+            );
+            let plane = h * w;
+            for ci in 0..c {
+                let start = (b * c + ci) * plane;
+                debug_assert!(start + plane <= dst_len);
+                // SAFETY: item tasks touch disjoint `b` image planes;
+                // the buffer outlives the blocking parallel_for call.
+                let dst_plane =
+                    unsafe { std::slice::from_raw_parts_mut(base.get().add(start), plane) };
+                dst_plane.fill(0.0);
+                for ky in 0..spec.kernel_h {
+                    for kx in 0..spec.kernel_w {
+                        let row = ci * taps + ky * spec.kernel_w + kx;
+                        let row_base = row * item_cols;
+                        let off_x = kx as isize - spec.pad_w as isize;
+                        let (ox_lo, ox_hi) = valid_range(off_x, spec.stride_w, w, ow);
+                        if ox_lo >= ox_hi {
+                            continue;
+                        }
+                        for oy in 0..oh {
+                            let iy = (oy * spec.stride_h + ky) as isize - spec.pad_h as isize;
+                            if iy < 0 || iy >= h as isize {
                                 continue;
                             }
-                            for oy in 0..oh {
-                                let iy = (oy * spec.stride_h + ky) as isize - spec.pad_h as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                let col_base = row_base + oy * ow;
-                                let dst_row = iy as usize * w;
-                                let base_ix = ((ox_lo * spec.stride_w) as isize + off_x) as usize;
-                                let seg = &dcols[col_base + ox_lo..col_base + ox_hi];
-                                if spec.stride_w == 1 {
-                                    let out_seg = &mut dst_plane
-                                        [dst_row + base_ix..dst_row + base_ix + seg.len()];
-                                    crate::simd::add_assign(level, out_seg, seg);
-                                } else {
-                                    for (idx, &v) in seg.iter().enumerate() {
-                                        dst_plane[dst_row + base_ix + idx * spec.stride_w] += v;
-                                    }
+                            let col_base = row_base + oy * ow;
+                            let dst_row = iy as usize * w;
+                            let base_ix = ((ox_lo * spec.stride_w) as isize + off_x) as usize;
+                            let seg = &dcols[col_base + ox_lo..col_base + ox_hi];
+                            if spec.stride_w == 1 {
+                                let out_seg = &mut dst_plane
+                                    [dst_row + base_ix..dst_row + base_ix + seg.len()];
+                                crate::simd::add_assign(level, out_seg, seg);
+                            } else {
+                                for (idx, &v) in seg.iter().enumerate() {
+                                    dst_plane[dst_row + base_ix + idx * spec.stride_w] += v;
                                 }
                             }
                         }
                     }
                 }
-            });
-        };
-
-        let work = k * out_c * ncols;
-        if work < PARALLEL_THRESHOLD || pool::effective_threads() <= 1 || n == 1 {
-            for b in 0..n {
-                scatter_item(b);
             }
-        } else {
-            pool::parallel_for(n, scatter_item);
+        });
+    };
+
+    let work = k * out_c * ncols;
+    if work < PARALLEL_THRESHOLD || pool::effective_threads() <= 1 || n == 1 {
+        for b in 0..n {
+            scatter_item(b);
         }
-    });
+    } else {
+        pool::parallel_for(n, scatter_item);
+    }
 }
 
 #[cfg(target_arch = "x86_64")]

@@ -1,52 +1,115 @@
 //! Cache-blocked, register-tiled, pool-parallel matrix multiplication.
 //!
 //! The NN stack lowers convolutions onto GEMM via im2col, so this is the
-//! hottest kernel in the whole reproduction. The micro-kernel computes an
-//! `MR x NR` output tile in registers, streaming a packed panel of A and
-//! contiguous rows of B, and writes each tile exactly once — the naive
-//! i-k-j formulation re-reads and re-writes the full output row `k` times,
-//! which is what made the old kernel memory-bound at paper shapes.
+//! hottest kernel in the whole reproduction. The layout follows the
+//! Goto/BLIS scheme:
 //!
-//! Determinism contract: the `k` (reduction) dimension is never split.
-//! Every output element is a single sequential fold over `p = 0..k`
-//! starting from 0.0, exactly like the textbook triple loop, so the
-//! blocked, packed and pool-parallel paths are bit-identical to the serial
-//! naive reference for any tile geometry and any thread count.
+//! * B is cut into `KC x NC` blocks, each packed once into `NR`-wide
+//!   column panels (`[panel][p][c]`) that every row tile reuses — B is
+//!   streamed from memory once per row band, not once per row tile.
+//! * A is cut into `MC x KC` blocks packed into `MR`-row panels
+//!   (`[tile][p][r]`).
+//! * The micro-kernel holds an `MR x NR` (6 × 16) output tile in
+//!   registers for one `KC` block: twelve `__m256` accumulators at the
+//!   AVX2 level, a scalar body of the same shape otherwise.
+//!
+//! Operands are strided views ([`MatRef`]), so the transposed entry points
+//! and the fused conv backward read Aᵀ or Bᵀ while packing and never
+//! materialise a transpose.
+//!
+//! Determinism contract: every output element is one ascending fold over
+//! `p = 0..k`, starting from 0.0. Between `KC` blocks the partial sum
+//! passes exactly through the output buffer (an f32 store and reload), so
+//! blocking over `k` does not change a single rounding step; the bias (0.0
+//! when absent) joins each element after its last block. Threads split the
+//! output by rows or by columns, never over `k`, so results are
+//! bit-identical to the serial naive reference for any tile geometry and
+//! any thread count.
 //!
 //! Kernel levels: at [`KernelLevel::Scalar`] the fold is `acc += a*b`
-//! (exact vs the naive reference); at [`KernelLevel::Avx2`] every element
-//! is a sequential *FMA* fold over `p` (vectorised across output columns,
-//! never across `k`), so results are identical across tile positions and
-//! thread counts at a fixed level, and within a small relative tier of the
-//! scalar reference. The level is resolved once per public entry on the
-//! caller thread and passed into pool closures.
+//! (mul-then-add, exact vs the naive reference); at [`KernelLevel::Avx2`]
+//! every element is a sequential *FMA* fold (vectorised across output
+//! columns, never across `k`), within a small relative tier of the scalar
+//! reference. Partial edge tiles run the same kernel on a padded copy, so
+//! an element's value never depends on where the tile boundaries fall.
+//! The level is resolved once per public entry on the caller thread and
+//! passed into pool closures.
 
 use std::cell::RefCell;
 
-use crate::pool;
+use crate::pool::{self, SendPtr};
 use crate::simd::KernelLevel;
 use crate::{Result, Tensor, TensorError};
 
-/// Micro-tile rows: accumulators live in `MR x NR` registers.
-const MR: usize = 4;
-/// Micro-tile columns; 8 f32 keeps the accumulator block within the
-/// baseline x86-64 / aarch64 vector register budget so LLVM can keep it
-/// entirely in registers.
-const NR: usize = 8;
+/// Micro-tile rows.
+const MR: usize = 6;
+/// Micro-tile columns: two `__m256` lanes. `MR x NR / 8` = 12 accumulator
+/// registers plus two B loads and one A broadcast fit AVX2's 16.
+const NR: usize = 16;
+/// Reduction depth of one packed block: a `KC x NR` B panel (16 KB) stays
+/// in L1 while a column of row tiles streams past it.
+const KC: usize = 256;
+/// Columns per packed B block: `KC x NC` is 512 KB, resident in L2.
+const NC: usize = 512;
+/// Rows per packed A block: `MC x KC` is 120 KB.
+const MC: usize = 120;
 
-/// Minimum number of multiply-accumulates before the worker pool is used.
-const PARALLEL_THRESHOLD: usize = 1 << 17;
+/// Multiply-accumulates each pool task should own, at minimum. Waking a
+/// worker costs more than it saves below this: on a 2-core AVX2 host a
+/// 64³ product took 16 µs on one thread and 29 µs split over two, and
+/// 128³ (2M MACs) 96 µs against 117 µs.
+const WORK_PER_TASK: usize = 1 << 20;
 
-/// Multiply-accumulates each pool task should own, at minimum — waking
-/// eight workers for a 256k-MAC product costs more than it saves.
-const WORK_PER_TASK: usize = 1 << 17;
+/// Bias of a block on the last k block when the GEMM has none.
+const ZEROS: [f32; MC] = [0.0; MC];
 
 thread_local! {
-    /// Per-thread packed-A panel, reused across calls (grown on demand).
-    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread scratch for materialized transposes in the `_transpose_*`
-    /// entry points, reused across calls.
-    static TRANSPOSE_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread packed A and B blocks, reused across calls.
+    static PACK: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Grows `buf` to hold at least `len` floats and returns them.
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// A read-only strided matrix view: element `(r, c)` is
+/// `data[r * rs + c * cs]`. A row-major `[rows, ld]` matrix is
+/// [`MatRef::rows`]; its transpose, read in place, is [`MatRef::cols`].
+#[derive(Clone, Copy)]
+pub(crate) struct MatRef<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> MatRef<'a> {
+    /// Row-major view with row stride `ld`.
+    pub(crate) fn rows(data: &'a [f32], ld: usize) -> Self {
+        MatRef {
+            data,
+            rs: ld,
+            cs: 1,
+        }
+    }
+
+    /// Transposed view of a row-major matrix with row stride `ld`:
+    /// element `(r, c)` is `data[c * ld + r]`.
+    pub(crate) fn cols(data: &'a [f32], ld: usize) -> Self {
+        MatRef::rows(data, ld).t()
+    }
+
+    /// The transpose of this view, without touching the data.
+    fn t(self) -> Self {
+        MatRef {
+            data: self.data,
+            rs: self.cs,
+            cs: self.rs,
+        }
+    }
 }
 
 fn dims_2d(t: &Tensor) -> Result<[usize; 2]> {
@@ -135,8 +198,9 @@ pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 
 /// Raw GEMM on slices: `out[m x n] = a[m x k] * b[k x n]`.
 ///
-/// `out` is fully overwritten. Parallelises over disjoint row bands on the
-/// shared worker pool when the work exceeds an internal threshold.
+/// `out` is fully overwritten. Parallelises over disjoint row or column
+/// bands on the shared worker pool when the work exceeds an internal
+/// threshold.
 ///
 /// # Panics
 ///
@@ -166,6 +230,105 @@ pub fn matmul_bias_into(
 ) {
     assert_eq!(a.len(), m * k, "lhs length");
     assert_eq!(b.len(), k * n, "rhs length");
+    let threads = pool::effective_threads();
+    gemm(
+        MatRef::rows(a, k),
+        MatRef::rows(b, n),
+        out,
+        [m, k, n],
+        bias,
+        threads,
+    );
+}
+
+/// Computes `out[m x n] = aᵀ b` on slices, where `a` is `[k, m]` and `b`
+/// is `[k, n]`. Aᵀ is read in place while A is packed.
+///
+/// # Panics
+///
+/// Panics if slice lengths do not match `k*m`, `k*n` and `m*n`.
+pub fn matmul_transpose_a_into(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+    n: usize,
+) {
+    assert_eq!(a.len(), k * m, "lhs length");
+    assert_eq!(b.len(), k * n, "rhs length");
+    let threads = pool::effective_threads();
+    gemm(
+        MatRef::cols(a, m),
+        MatRef::rows(b, n),
+        out,
+        [m, k, n],
+        None,
+        threads,
+    );
+}
+
+/// Computes `out[m x n] = a bᵀ` on slices, where `a` is `[m, k]` and `b`
+/// is `[n, k]`. Bᵀ is read in place while B is packed.
+///
+/// # Panics
+///
+/// Panics if slice lengths do not match `m*k`, `n*k` and `m*n`.
+pub fn matmul_transpose_b_into(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(a.len(), m * k, "lhs length");
+    assert_eq!(b.len(), n * k, "rhs length");
+    let threads = pool::effective_threads();
+    gemm(
+        MatRef::rows(a, k),
+        MatRef::cols(b, k),
+        out,
+        [m, k, n],
+        None,
+        threads,
+    );
+}
+
+/// Serial GEMM on strided views, `out[m x n] = a * b` with `out`
+/// row-major and contiguous. Runs entirely on the calling thread — the
+/// fused conv backward parallelises over batch items above this call, so
+/// nesting the pool here would only add overhead.
+pub(crate) fn gemm_serial(
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    out: &mut [f32],
+    [m, k, n]: [usize; 3],
+    level: KernelLevel,
+) {
+    assert_eq!(out.len(), m * n, "output length");
+    let c = SendPtr::new(out.as_mut_ptr());
+    // SAFETY: `out` is exclusively borrowed and holds the full `m x n`
+    // output at row stride `n`.
+    unsafe { gemm_range(a, b, c, n, 0..m, 0..n, k, None, level) };
+}
+
+/// Shared entry of every public GEMM: profiling span, level resolution
+/// and the split of the output over `threads` pool tasks.
+///
+/// Rows are split when every task still gets a full `MC` block of them,
+/// which keeps the duplicate packing of B (each task packs the B blocks
+/// it needs) small next to the task's work. Below that, tasks take
+/// disjoint `NR`-aligned column bands instead, so no task packs a B block
+/// it does not use; each then repacks the (small) A.
+fn gemm(
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    out: &mut [f32],
+    [m, k, n]: [usize; 3],
+    bias: Option<&[f32]>,
+    threads: usize,
+) {
     assert_eq!(out.len(), m * n, "output length");
     if let Some(bias) = bias {
         assert_eq!(bias.len(), m, "bias length");
@@ -180,364 +343,302 @@ pub fn matmul_bias_into(
     // Resolve the kernel level once, on the caller thread, so pool workers
     // inherit it and a single GEMM never mixes implementations.
     let level = crate::simd::active_level();
+    let c = SendPtr::new(out.as_mut_ptr());
 
-    let work = m * n * k.max(1);
-    let threads = pool::effective_threads().min((work / WORK_PER_TASK).max(1));
-    if work < PARALLEL_THRESHOLD || threads <= 1 || m < 2 {
-        gemm_block(a, b, out, 0, m, k, n, n, bias, level);
-        return;
+    let threads = threads.min(m * n * k.max(1) / WORK_PER_TASK);
+    let panels = n.div_ceil(NR);
+    if threads <= 1 {
+        // SAFETY: `out` is exclusively borrowed and holds the full
+        // `m x n` output at row stride `n`.
+        unsafe { gemm_range(a, b, c, n, 0..m, 0..n, k, bias, level) };
+    } else if m >= threads * MC || panels < threads {
+        let band = m.div_ceil(MR).div_ceil(threads) * MR;
+        pool::parallel_for(m.div_ceil(band), |t| {
+            let rows = t * band..((t + 1) * band).min(m);
+            // SAFETY: row bands are disjoint and inside `out`, which
+            // outlives the blocking `parallel_for`.
+            unsafe { gemm_range(a, b, c, n, rows, 0..n, k, bias, level) };
+        });
+    } else {
+        let band = panels.div_ceil(threads) * NR;
+        pool::parallel_for(n.div_ceil(band), |t| {
+            let cols = t * band..((t + 1) * band).min(n);
+            // SAFETY: column bands are disjoint and inside `out`, which
+            // outlives the blocking `parallel_for`.
+            unsafe { gemm_range(a, b, c, n, 0..m, cols, k, bias, level) };
+        });
     }
-
-    let bands = threads.min(m);
-    let rows_per_band = m.div_ceil(bands);
-    pool::parallel_for_chunks(out, rows_per_band * n, |band_idx, chunk| {
-        let row_start = band_idx * rows_per_band;
-        let rows = chunk.len() / n;
-        gemm_block(a, b, chunk, row_start, rows, k, n, n, bias, level);
-    });
 }
 
-/// Computes `out[m x n] = aᵀ b` on slices, where `a` is `[k, m]` and `b`
-/// is `[k, n]`. The transpose is materialised into per-thread scratch
-/// (reused across calls), keeping the GEMM inner loops contiguous.
+/// Blocked GEMM over the output block `rows x cols` of `c` (row stride
+/// `ldc`), on the calling thread.
 ///
-/// # Panics
+/// # Safety
 ///
-/// Panics if slice lengths do not match `k*m`, `k*n` and `m*n`.
-pub fn matmul_transpose_a_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-    assert_eq!(a.len(), k * m, "lhs length");
-    TRANSPOSE_SCRATCH.with(|cell| {
-        let mut at = cell.borrow_mut();
-        at.clear();
-        at.resize(m * k, 0.0);
-        for row in 0..k {
-            let a_row = &a[row * m..(row + 1) * m];
-            for (col, &v) in a_row.iter().enumerate() {
-                at[col * k + row] = v;
-            }
-        }
-        matmul_into(&at, b, out, m, k, n);
-    });
-}
-
-/// Computes `out[m x n] = a bᵀ` on slices, where `a` is `[m, k]` and `b`
-/// is `[n, k]`. The transpose is materialised into per-thread scratch
-/// (reused across calls).
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match `m*k`, `n*k` and `m*n`.
-pub fn matmul_transpose_b_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(b.len(), n * k, "rhs length");
-    TRANSPOSE_SCRATCH.with(|cell| {
-        let mut bt = cell.borrow_mut();
-        bt.clear();
-        bt.resize(k * n, 0.0);
-        for row in 0..n {
-            let b_row = &b[row * k..(row + 1) * k];
-            for (col, &v) in b_row.iter().enumerate() {
-                bt[col * n + row] = v;
-            }
-        }
-        matmul_into(a, &bt, out, m, k, n);
-    });
-}
-
-/// Serial GEMM against a strided window of B: `out[m x n] = a * b_win`
-/// where `b_win[p][j] = b[p * bs + j]`. Runs entirely on the calling
-/// thread — the fused conv backward parallelises over batch items above
-/// this call, so nesting the pool here would only add overhead.
+/// `c` must point at a live row-major buffer with row stride `ldc` that
+/// covers every element of `rows x cols`, and no other thread may access
+/// those elements during the call.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_window_serial(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
+unsafe fn gemm_range(
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: SendPtr<f32>,
+    ldc: usize,
+    rows: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
     k: usize,
-    n: usize,
-    bs: usize,
-    level: KernelLevel,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(out.len(), m * n);
-    debug_assert!(k == 0 || n == 0 || (k - 1) * bs + n <= b.len());
-    gemm_block(a, b, out, 0, m, k, n, bs, None, level);
-}
-
-/// Blocked GEMM over `rows` output rows starting at absolute row
-/// `row_start`; `chunk` is the corresponding slice of the output. Packs an
-/// `mr x k` panel of A per row tile (interleaved `[p][r]` so the
-/// micro-kernel loads MR contiguous values per reduction step), then walks
-/// NR-wide column tiles whose B loads are contiguous within each row of B.
-///
-/// `bs` is B's row stride (`bs == n` for a plain contiguous operand). The
-/// fused conv backward passes `bs > n` to multiply against a column window
-/// of a wider `dy` matrix in place, instead of materialising the window.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_block(
-    a: &[f32],
-    b: &[f32],
-    chunk: &mut [f32],
-    row_start: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-    bs: usize,
     bias: Option<&[f32]>,
     level: KernelLevel,
 ) {
-    PACK_A.with(|cell| {
-        let mut pack = cell.borrow_mut();
-        let mut i = 0;
-        while i < rows {
-            let mr = MR.min(rows - i);
-            pack_a_panel(a, &mut pack, row_start + i, mr, k);
-            let tile_bias: [f32; MR] = std::array::from_fn(|r| match bias {
-                Some(bias) if r < mr => bias[row_start + i + r],
-                _ => 0.0,
-            });
-            let mut j = 0;
-            while j < n {
-                let nr = NR.min(n - j);
-                if mr == MR && nr == NR {
-                    dispatch_full(level, &pack, b, chunk, i, j, k, n, bs, &tile_bias);
-                } else {
-                    dispatch_edge(level, &pack, b, chunk, i, j, mr, nr, k, n, bs, &tile_bias);
-                }
-                j += NR;
+    if k == 0 {
+        for i in rows {
+            let v = 0.0 + bias.map_or(0.0, |bias| bias[i]);
+            for j in cols.clone() {
+                // SAFETY: (i, j) lies in this caller's output block.
+                unsafe { *c.get().add(i * ldc + j) = v };
             }
-            i += MR;
+        }
+        return;
+    }
+    PACK.with(|cell| {
+        let mut guard = cell.borrow_mut();
+        let (pack_a, pack_b) = &mut *guard;
+        for jc in cols.clone().step_by(NC) {
+            let nc = NC.min(cols.end - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                let pb = grown(pack_b, nc.div_ceil(NR) * NR * kc);
+                pack_panels::<NR>(b.t(), pb, jc, nc, pc, kc);
+                for ic in rows.clone().step_by(MC) {
+                    let mc = MC.min(rows.end - ic);
+                    let pa = grown(pack_a, mc.div_ceil(MR) * MR * kc);
+                    pack_panels::<MR>(a, pa, ic, mc, pc, kc);
+                    // The bias joins on the last k block only: 0.0 when
+                    // absent, exactly as an unblocked fold would add it.
+                    let block_bias = (pc + kc == k)
+                        .then(|| bias.map_or(&ZEROS[..mc], |bias| &bias[ic..ic + mc]));
+                    // SAFETY: the block origin lies in this caller's
+                    // output block, which covers `mc x nc` from there.
+                    let block = unsafe { c.get().add(ic * ldc + jc) };
+                    for (jp, jr) in (0..nc).step_by(NR).enumerate() {
+                        let panel_b = &pb[jp * kc * NR..(jp + 1) * kc * NR];
+                        for (ip, ir) in (0..mc).step_by(MR).enumerate() {
+                            let panel_a = &pa[ip * kc * MR..(ip + 1) * kc * MR];
+                            let tile_bias: Option<[f32; MR]> = block_bias.map(|bias| {
+                                std::array::from_fn(|r| bias.get(ir + r).copied().unwrap_or(0.0))
+                            });
+                            let tile = Tile {
+                                // SAFETY: as for `block`.
+                                c: unsafe { block.add(ir * ldc + jr) },
+                                ldc,
+                                mr: MR.min(mc - ir),
+                                nr: NR.min(nc - jr),
+                                load: pc > 0,
+                                bias: tile_bias.as_ref(),
+                            };
+                            // SAFETY: `tile` covers `mr x nr` in-bounds
+                            // elements owned by this caller.
+                            unsafe { run_tile(level, kc, panel_a, panel_b, &tile) };
+                        }
+                    }
+                }
+            }
         }
     });
 }
 
-/// Level dispatch for the full tile — one predictable branch per tile.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn dispatch_full(
-    level: KernelLevel,
-    pack: &[f32],
-    b: &[f32],
-    chunk: &mut [f32],
-    i: usize,
-    j: usize,
-    k: usize,
-    n: usize,
-    bs: usize,
-    bias: &[f32; MR],
+/// Packs the block `[r0, r0+rows) x [p0, p0+kc)` of `v` into `W`-row
+/// panels, `dst[(i/W)*kc*W + p*W + i%W] = v(r0+i, p0+p)`, zero past
+/// `rows`. A packs into `MR`-row panels; B packs its transpose, whose
+/// `NR`-row panels are B's `NR`-column panels.
+fn pack_panels<const W: usize>(
+    v: MatRef<'_>,
+    dst: &mut [f32],
+    r0: usize,
+    rows: usize,
+    p0: usize,
+    kc: usize,
 ) {
+    let tail = rows % W;
+    if tail != 0 {
+        // Zero the padding rows of the last panel. Their results are
+        // discarded, but stale scratch could hold denormals or NaNs.
+        let last = &mut dst[(rows / W) * kc * W..];
+        for p in 0..kc {
+            last[p * W + tail..(p + 1) * W].fill(0.0);
+        }
+    }
+    if v.rs == 1 {
+        // Each p is a contiguous run over the block's rows.
+        for p in 0..kc {
+            let run = &v.data[(p0 + p) * v.cs + r0..][..rows];
+            for (ip, seg) in run.chunks(W).enumerate() {
+                let at = ip * kc * W + p * W;
+                dst[at..at + seg.len()].copy_from_slice(seg);
+            }
+        }
+    } else {
+        // Each row is a run over p at stride `cs` (1 when row-major).
+        for i in 0..rows {
+            let base = (r0 + i) * v.rs + p0 * v.cs;
+            assert!(base + (kc - 1) * v.cs < v.data.len(), "operand too short");
+            let at = (i / W) * kc * W + i % W;
+            let run = v.data[base..].iter().step_by(v.cs).take(kc);
+            for (p, &x) in run.enumerate() {
+                dst[at + p * W] = x;
+            }
+        }
+    }
+}
+
+/// One `MR x NR` output tile of a `KC` block.
+struct Tile<'b> {
+    /// Top-left output element; row stride `ldc`.
+    c: *mut f32,
+    ldc: usize,
+    /// Valid rows and columns (`<= MR`, `<= NR`).
+    mr: usize,
+    nr: usize,
+    /// Continue the fold from the partial sums already in the output
+    /// (every `KC` block after the first) instead of from 0.0.
+    load: bool,
+    /// On the last `KC` block: the per-row bias (0.0 when absent), added
+    /// once the fold is complete.
+    bias: Option<&'b [f32; MR]>,
+}
+
+/// Runs the micro-kernel on one tile. Full tiles fold straight into the
+/// output; partial tiles go through a padded `MR x NR` copy so they run
+/// the very same kernel.
+///
+/// # Safety
+///
+/// `tile.c` must address `mr` rows of `nr` writable floats at stride
+/// `ldc`, not accessed concurrently; `Avx2` implies host AVX2+FMA.
+unsafe fn run_tile(level: KernelLevel, kc: usize, pa: &[f32], pb: &[f32], tile: &Tile<'_>) {
+    debug_assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
+    let full = tile.mr == MR && tile.nr == NR;
+    let mut buf = [0.0f32; MR * NR];
+    let (c, ldc) = if full {
+        (tile.c, tile.ldc)
+    } else {
+        if tile.load {
+            for r in 0..tile.mr {
+                let src = std::slice::from_raw_parts(tile.c.add(r * tile.ldc), tile.nr);
+                buf[r * NR..r * NR + tile.nr].copy_from_slice(src);
+            }
+        }
+        (buf.as_mut_ptr(), NR)
+    };
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `KernelLevel::Avx2` is only ever produced by
         // `simd::clamp_to_host`, which checked AVX2+FMA via CPUID.
-        KernelLevel::Avx2 => unsafe { avx2::kernel_full(pack, b, chunk, i, j, k, n, bs, bias) },
-        _ => kernel_full(pack, b, chunk, i, j, k, n, bs, bias),
+        KernelLevel::Avx2 => avx2::kernel(kc, pa, pb, c, ldc, tile.load, tile.bias),
+        _ => kernel_scalar(kc, pa, pb, c, ldc, tile.load, tile.bias),
+    }
+    if !full {
+        for r in 0..tile.mr {
+            let dst = std::slice::from_raw_parts_mut(tile.c.add(r * tile.ldc), tile.nr);
+            dst.copy_from_slice(&buf[r * NR..r * NR + tile.nr]);
+        }
     }
 }
 
-/// Level dispatch for partial tiles. The AVX2-level edge kernel folds with
-/// scalar FMA so an element's result does not depend on which tile kind it
-/// landed in (batched vs single-sample calls tile columns differently).
-#[allow(clippy::too_many_arguments)]
+/// Scalar `MR x NR` micro-kernel: `acc += a*b` per element, ascending `p`.
+///
+/// # Safety
+///
+/// `c` must address an `MR x NR` writable block at row stride `ldc`.
 #[inline]
-fn dispatch_edge(
-    level: KernelLevel,
-    pack: &[f32],
-    b: &[f32],
-    chunk: &mut [f32],
-    i: usize,
-    j: usize,
-    mr: usize,
-    nr: usize,
-    k: usize,
-    n: usize,
-    bs: usize,
-    bias: &[f32; MR],
+unsafe fn kernel_scalar(
+    kc: usize,
+    pa: &[f32],
+    pb: &[f32],
+    c: *mut f32,
+    ldc: usize,
+    load: bool,
+    bias: Option<&[f32; MR]>,
 ) {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `dispatch_full` — Avx2 implies host AVX2+FMA.
-        KernelLevel::Avx2 => unsafe {
-            avx2::kernel_edge(pack, b, chunk, i, j, mr, nr, k, n, bs, bias)
-        },
-        _ => kernel_edge(pack, b, chunk, i, j, mr, nr, k, n, bs, bias),
+    let mut acc = [[0.0f32; NR]; MR];
+    if load {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            acc_r.copy_from_slice(std::slice::from_raw_parts(c.add(r * ldc), NR));
+        }
+    }
+    for (ap, bp) in pa[..kc * MR]
+        .chunks_exact(MR)
+        .zip(pb[..kc * NR].chunks_exact(NR))
+    {
+        for (acc_r, &av) in acc.iter_mut().zip(ap) {
+            for (dst, &bv) in acc_r.iter_mut().zip(bp) {
+                *dst += av * bv;
+            }
+        }
+    }
+    if let Some(bias) = bias {
+        for (acc_r, &b) in acc.iter_mut().zip(bias) {
+            for v in acc_r.iter_mut() {
+                *v += b;
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        std::slice::from_raw_parts_mut(c.add(r * ldc), NR).copy_from_slice(acc_r);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! AVX2+FMA micro-kernels. Lanes run across output *columns*; the `k`
+    //! AVX2+FMA micro-kernel. Lanes run across output *columns*; the `k`
     //! reduction stays a sequential per-element FMA fold, so the
     //! determinism contract (no split reductions) holds unchanged.
     use super::{MR, NR};
     use std::arch::x86_64::*;
 
-    /// Full `MR x NR` tile: 4 × `__m256` accumulators, broadcast-A + FMA.
+    /// `MR x NR` tile: 12 × `__m256` accumulators, broadcast-A + FMA.
     ///
     /// # Safety
     ///
-    /// Caller must ensure the host supports AVX2 and FMA, and that the
-    /// slice geometry matches [`super::kernel_full`]'s contract.
-    #[allow(clippy::too_many_arguments)]
+    /// Host must support AVX2 and FMA; `c` must address an `MR x NR`
+    /// writable block at row stride `ldc`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn kernel_full(
-        pack: &[f32],
-        b: &[f32],
-        chunk: &mut [f32],
-        i: usize,
-        j: usize,
-        k: usize,
-        n: usize,
-        bs: usize,
-        bias: &[f32; MR],
+    pub(super) unsafe fn kernel(
+        kc: usize,
+        pa: &[f32],
+        pb: &[f32],
+        c: *mut f32,
+        ldc: usize,
+        load: bool,
+        bias: Option<&[f32; MR]>,
     ) {
-        debug_assert!(pack.len() >= k * MR);
-        debug_assert!(k == 0 || (k - 1) * bs + j + NR <= b.len());
-        let mut acc = [_mm256_setzero_ps(); MR];
-        for p in 0..k {
-            let bp = _mm256_loadu_ps(b.as_ptr().add(p * bs + j));
-            let ap = pack.as_ptr().add(p * MR);
+        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+        if load {
             for (r, acc_r) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ap.add(r));
-                *acc_r = _mm256_fmadd_ps(av, bp, *acc_r);
+                acc_r[0] = _mm256_loadu_ps(c.add(r * ldc));
+                acc_r[1] = _mm256_loadu_ps(c.add(r * ldc + 8));
             }
         }
-        for (r, &acc_r) in acc.iter().enumerate() {
-            debug_assert!((i + r) * n + j + NR <= chunk.len());
-            let v = _mm256_add_ps(acc_r, _mm256_set1_ps(bias[r]));
-            _mm256_storeu_ps(chunk.as_mut_ptr().add((i + r) * n + j), v);
-        }
-    }
-
-    /// Partial tile at the AVX2 level: same loop structure as the scalar
-    /// edge kernel but folding with `mul_add`, so each element is the same
-    /// sequential FMA fold the full kernel produces — an element's value
-    /// never depends on which tile kind covered it.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the host supports AVX2 and FMA (for the `fma`
-    /// codegen of `mul_add`); slice geometry as in [`super::kernel_edge`].
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn kernel_edge(
-        pack: &[f32],
-        b: &[f32],
-        chunk: &mut [f32],
-        i: usize,
-        j: usize,
-        mr: usize,
-        nr: usize,
-        k: usize,
-        n: usize,
-        bs: usize,
-        bias: &[f32; MR],
-    ) {
-        let mut acc = [[0.0f32; NR]; MR];
-        for p in 0..k {
-            let bp = &b[p * bs + j..p * bs + j + nr];
-            let ap = &pack[p * mr..(p + 1) * mr];
-            for (r, &av) in ap.iter().enumerate() {
-                for (c, &bv) in bp.iter().enumerate() {
-                    acc[r][c] = av.mul_add(bv, acc[r][c]);
-                }
+        let (ap, bp) = (pa.as_ptr(), pb.as_ptr());
+        for p in 0..kc {
+            let b0 = _mm256_loadu_ps(bp.add(p * NR));
+            let b1 = _mm256_loadu_ps(bp.add(p * NR + 8));
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let av = _mm256_broadcast_ss(&*ap.add(p * MR + r));
+                acc_r[0] = _mm256_fmadd_ps(av, b0, acc_r[0]);
+                acc_r[1] = _mm256_fmadd_ps(av, b1, acc_r[1]);
             }
         }
-        for (r, acc_row) in acc.iter().enumerate().take(mr) {
-            let row = &mut chunk[(i + r) * n + j..(i + r) * n + j + nr];
-            let bias_r = bias[r];
-            for (dst, &v) in row.iter_mut().zip(acc_row.iter()) {
-                *dst = v + bias_r;
+        if let Some(bias) = bias {
+            for (acc_r, &b) in acc.iter_mut().zip(bias) {
+                let bv = _mm256_set1_ps(b);
+                acc_r[0] = _mm256_add_ps(acc_r[0], bv);
+                acc_r[1] = _mm256_add_ps(acc_r[1], bv);
             }
         }
-    }
-}
-
-/// Packs `mr` rows of A starting at `row0` into `pack` with layout
-/// `pack[p * mr + r] = a[(row0 + r) * k + p]` — sequential reads, short
-/// strided writes.
-fn pack_a_panel(a: &[f32], pack: &mut Vec<f32>, row0: usize, mr: usize, k: usize) {
-    pack.clear();
-    pack.resize(mr * k, 0.0);
-    for r in 0..mr {
-        let a_row = &a[(row0 + r) * k..(row0 + r + 1) * k];
-        for (p, &v) in a_row.iter().enumerate() {
-            pack[p * mr + r] = v;
-        }
-    }
-}
-
-/// Full `MR x NR` micro-kernel: accumulators stay in registers across the
-/// entire `k` reduction and each output element is written exactly once.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn kernel_full(
-    pack: &[f32],
-    b: &[f32],
-    chunk: &mut [f32],
-    i: usize,
-    j: usize,
-    k: usize,
-    n: usize,
-    bs: usize,
-    bias: &[f32; MR],
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..k {
-        let bp: &[f32; NR] = b[p * bs + j..p * bs + j + NR]
-            .try_into()
-            .expect("NR-wide B strip");
-        let ap: &[f32; MR] = pack[p * MR..(p + 1) * MR]
-            .try_into()
-            .expect("MR-wide A strip");
-        for r in 0..MR {
-            let av = ap[r];
-            for c in 0..NR {
-                acc[r][c] += av * bp[c];
-            }
-        }
-    }
-    for r in 0..MR {
-        let row = &mut chunk[(i + r) * n + j..(i + r) * n + j + NR];
-        let bias_r = bias[r];
-        for (dst, &v) in row.iter_mut().zip(acc[r].iter()) {
-            *dst = v + bias_r;
-        }
-    }
-}
-
-/// Edge micro-kernel for partial tiles (`mr <= MR`, `nr <= NR`). Same
-/// accumulation order per element as [`kernel_full`], so results are
-/// bit-identical regardless of how rows and columns fall into tiles.
-#[allow(clippy::too_many_arguments)]
-fn kernel_edge(
-    pack: &[f32],
-    b: &[f32],
-    chunk: &mut [f32],
-    i: usize,
-    j: usize,
-    mr: usize,
-    nr: usize,
-    k: usize,
-    n: usize,
-    bs: usize,
-    bias: &[f32; MR],
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..k {
-        let bp = &b[p * bs + j..p * bs + j + nr];
-        let ap = &pack[p * mr..(p + 1) * mr];
-        for (r, &av) in ap.iter().enumerate() {
-            for (c, &bv) in bp.iter().enumerate() {
-                acc[r][c] += av * bv;
-            }
-        }
-    }
-    for (r, acc_row) in acc.iter().enumerate().take(mr) {
-        let row = &mut chunk[(i + r) * n + j..(i + r) * n + j + nr];
-        let bias_r = bias[r];
-        for (dst, &v) in row.iter_mut().zip(acc_row.iter()) {
-            *dst = v + bias_r;
+        for (r, acc_r) in acc.iter().enumerate() {
+            _mm256_storeu_ps(c.add(r * ldc), acc_r[0]);
+            _mm256_storeu_ps(c.add(r * ldc + 8), acc_r[1]);
         }
     }
 }
@@ -617,7 +718,7 @@ mod tests {
 
     #[test]
     fn parallel_path_matches_serial() {
-        // Big enough to cross PARALLEL_THRESHOLD (128^3 = 2M MACs).
+        // Big enough to split over two tasks (128^3 = 2M MACs).
         crate::simd::with_level(KernelLevel::Scalar, || {
             let (m, k, n) = (128, 128, 128);
             let a = random_vec(m * k, 11);
@@ -715,5 +816,134 @@ mod tests {
             let tol = 1e-5f32.max(s.abs() * 1e-5);
             assert!((s - v).abs() <= tol, "element {i}: scalar {s} vs avx2 {v}");
         }
+    }
+
+    /// The naive fold at `level`: ascending `p` from 0.0 with mul-then-add
+    /// (scalar) or FMA (AVX2), then `+ bias` (0.0 when absent) — the exact
+    /// per-element contract of every entry point.
+    fn reference(
+        a: &[f32],
+        b: &[f32],
+        bias: Option<&[f32]>,
+        [m, k, n]: [usize; 3],
+        level: KernelLevel,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    let (x, y) = (a[i * k + p], b[p * n + j]);
+                    acc = match level {
+                        KernelLevel::Scalar => acc + x * y,
+                        _ => x.mul_add(y, acc),
+                    };
+                }
+                out[i * n + j] = acc + bias.map_or(0.0, |bias| bias[i]);
+            }
+        }
+        out
+    }
+
+    fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut t = vec![0.0; x.len()];
+        for r in 0..rows {
+            for c in 0..cols {
+                t[c * rows + r] = x[r * cols + c];
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn block_edges_match_naive_exactly() {
+        // k straddles one and two KC blocks (the partial sum passes
+        // through the output between them); n spans more than one NC block
+        // and ends mid-panel; m ends mid-tile, is 1, or spans several MC
+        // blocks so rows split across tasks. Every entry point, at every
+        // thread count, must reproduce the naive fold bit for bit at each
+        // level the host runs.
+        let wide = NC + NR + 3;
+        let mut shapes = vec![
+            ([2 * MR + 1, 0, wide], true),
+            ([1, KC + 1, wide], false),
+            ([2 * MC + 7, KC + 1, 2 * NR + 5], true),
+        ];
+        for k in [KC - 1, KC, KC + 1, 2 * KC + 3] {
+            shapes.push(([2 * MR + 1, k, wide], k == KC + 1));
+        }
+        let mut levels = vec![KernelLevel::Scalar];
+        if crate::simd::detect_level() >= KernelLevel::Avx2 {
+            levels.push(KernelLevel::Avx2);
+        }
+        for (case, ([m, k, n], with_bias)) in shapes.into_iter().enumerate() {
+            let seed = 1000 + 10 * case as u64;
+            let a = random_vec(m * k, seed);
+            let b = random_vec(k * n, seed + 1);
+            let bias = with_bias.then(|| random_vec(m, seed + 2));
+            let at = transposed(&a, m, k);
+            let bt = transposed(&b, k, n);
+            for &level in &levels {
+                // The transposed entry points carry no bias.
+                let with = reference(&a, &b, bias.as_deref(), [m, k, n], level);
+                let plain = reference(&a, &b, None, [m, k, n], level);
+                crate::simd::with_level(level, || {
+                    for threads in 1..=3 {
+                        let views = [
+                            (
+                                "a*b",
+                                MatRef::rows(&a, k),
+                                MatRef::rows(&b, n),
+                                bias.as_deref(),
+                                &with,
+                            ),
+                            (
+                                "at*b",
+                                MatRef::cols(&at, m),
+                                MatRef::rows(&b, n),
+                                None,
+                                &plain,
+                            ),
+                            (
+                                "a*bt",
+                                MatRef::rows(&a, k),
+                                MatRef::cols(&bt, k),
+                                None,
+                                &plain,
+                            ),
+                        ];
+                        for (what, va, vb, bias, want) in views {
+                            let mut out = vec![f32::NAN; m * n];
+                            gemm(va, vb, &mut out, [m, k, n], bias, threads);
+                            assert!(
+                                out.iter()
+                                    .zip(want)
+                                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                                "{what} {m}x{k}x{n} at {level:?}, {threads} threads"
+                            );
+                        }
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn public_transposed_entries_read_views_in_place() {
+        // The slice entry points must agree bit for bit with the plain
+        // GEMM on an explicitly transposed copy, across KC and NC blocks.
+        crate::simd::with_level(KernelLevel::Scalar, || {
+            let (m, k, n) = (MR + 1, KC + 5, NC + 1);
+            let a = random_vec(m * k, 51);
+            let b = random_vec(k * n, 52);
+            let mut want = vec![0.0; m * n];
+            matmul_into(&a, &b, &mut want, m, k, n);
+            let mut got = vec![f32::NAN; m * n];
+            matmul_transpose_a_into(&transposed(&a, m, k), &b, &mut got, k, m, n);
+            assert_eq!(got, want, "transpose_a");
+            let mut got = vec![f32::NAN; m * n];
+            matmul_transpose_b_into(&a, &transposed(&b, k, n), &mut got, m, k, n);
+            assert_eq!(got, want, "transpose_b");
+        });
     }
 }

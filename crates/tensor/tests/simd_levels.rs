@@ -83,7 +83,9 @@ fn avx2_is_real() -> bool {
 fn gemm_tiers_hold_on_tail_shapes() {
     let mut rng = StdRng::seed_from_u64(0x51D0_0001);
     // m = 1, k = 1, n = 1, and n/k ∈ {7, 9, 17, 23, 33} — none a lane
-    // multiple — plus one square shape big enough to engage full tiles.
+    // multiple — plus one square shape big enough to engage full tiles,
+    // and one whose k = 515 spans three packed k blocks (256 deep), so
+    // partial sums pass through the output between blocks.
     let shapes = [
         (1usize, 17usize, 9usize),
         (3, 1, 13),
@@ -92,6 +94,7 @@ fn gemm_tiers_hold_on_tail_shapes() {
         (5, 23, 33),
         (9, 40, 7),
         (64, 64, 64),
+        (9, 515, 21),
     ];
     for &(m, k, n) in &shapes {
         let abs = GEMM_ABS_PER_K * k as f32;

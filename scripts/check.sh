@@ -15,6 +15,11 @@ LITHO_SIMD=scalar cargo test --workspace -q --offline
 echo "==> cargo test -q --offline (LITHO_SIMD=auto)"
 LITHO_SIMD=auto cargo test --workspace -q --offline
 
+echo "==> cargo test --offline (lithobench)"
+# lithobench is a workspace of its own, so the root `cargo test` never
+# builds the end-to-end benchmark.
+cargo test --offline --manifest-path lithobench/Cargo.toml
+
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
