@@ -4,7 +4,7 @@
 
 use std::fmt::Write as _;
 
-use litho_ledger::fmt_unix;
+use litho_ledger::{escape_html, escape_label, fmt_unix};
 
 use crate::config::AlertRule;
 use crate::record::{AlertRecord, AlertState};
@@ -67,20 +67,6 @@ pub fn render_transition(rec: &AlertRecord) -> String {
     )
 }
 
-fn escape_html(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
 /// The firing-alerts banner injected into the fleet HTML page. Empty
 /// string when nothing is active, so the page stays clean.
 pub fn alerts_html(active: &[AlertRecord]) -> String {
@@ -107,19 +93,6 @@ pub fn alerts_html(active: &[AlertRecord]) -> String {
         );
     }
     out.push_str("</ul></div>\n");
-    out
-}
-
-fn escape_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
     out
 }
 

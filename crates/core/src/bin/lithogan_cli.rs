@@ -15,7 +15,11 @@
 //! per-sample metric records, telemetry trace) unless `--no-run` is
 //! given; `report` and `compare` read those directories back. See
 //! `lithogan-cli help <command>` for per-command flags.
+//!
+//! Each flag is declared once, in `flags`; [`COMMANDS`] lists each
+//! command's flags, and parsing, help and rejection all read that table.
 
+use flags::*;
 use litho_dataset::{generate, load_dataset, save_dataset, Dataset, DatasetConfig};
 use litho_health::DiagnosisKind;
 use litho_layout::image::{overlay_panel, write_ppm};
@@ -34,7 +38,9 @@ use lithogan::{
     TrainConfig,
 };
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::Duration;
+use Absent::{DefaultsTo, FallsBackTo, Required, Unset};
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,7 +115,7 @@ enum Command {
         a: String,
         b: String,
         gate: bool,
-        tol_pct: Option<f64>,
+        tol_pct: f64,
     },
     RunsGc {
         keep: usize,
@@ -134,251 +140,304 @@ enum Command {
     HelpFor(String),
 }
 
-const GLOBAL_FLAGS_HELP: &str = "\
-global flags (accepted by every command, --flag VALUE or --flag=VALUE):\n  \
-  --trace             print a nested span/metric report to stderr on exit\n  \
-  --metrics-out FILE  stream telemetry events as JSONL to FILE\n                      \
-(default: runs/<id>/trace.jsonl when a run ledger is active)\n  \
-  --runs-root DIR     where run ledgers are created/resolved (default: runs)\n  \
-  --no-run            do not record this invocation under runs/\n  \
-  --threads N         worker-pool width for the compute kernels; 0 = auto\n                      \
-(default: LITHO_THREADS env var, else the detected core count)\n  \
-  --simd LEVEL        kernel level: auto, avx2 or scalar (default: LITHO_SIMD\n                      \
-env var, else CPUID detection; never exceeds the host ISA)";
+/// What a flag means when the command line leaves it out.
+#[derive(Debug, PartialEq)]
+enum Absent {
+    /// The command cannot run without it.
+    Required,
+    /// A boolean is off; a value flag is `None`.
+    Unset,
+    /// The flag takes this value.
+    DefaultsTo(&'static str),
+    /// Left unset here; the help names what the command then uses.
+    FallsBackTo(&'static str),
+}
 
-fn usage() -> String {
+/// One flag: its spelling, its value placeholder (empty for a boolean
+/// flag), what its absence means, and one line of help.
+#[derive(Debug, PartialEq)]
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    absent: Absent,
+    help: &'static str,
+}
+
+/// Every flag, declared once. A spelling that means different things to
+/// different commands (`--out`, `--gate`, `--tol-pct`, `--json`) is
+/// declared once per meaning, reusing the first declaration's name.
+#[rustfmt::skip]
+mod flags {
+    use super::{Absent::{self, *}, Flag};
+
+    const fn flag(name: &'static str, value: &'static str, absent: Absent, help: &'static str) -> Flag {
+        Flag { name, value, absent, help }
+    }
+
+    const fn switch(name: &'static str, help: &'static str) -> Flag {
+        flag(name, "", Unset, help)
+    }
+
+    // Global: accepted by every command, before or after the command word.
+    pub const TRACE: Flag = switch("--trace", "print a nested span/metric report to stderr on exit");
+    pub const METRICS_OUT: Flag = flag("--metrics-out", "FILE", FallsBackTo("runs/<id>/trace.jsonl when a run ledger is active"), "stream telemetry events as JSONL to FILE");
+    pub const RUNS_ROOT: Flag = flag("--runs-root", "DIR", DefaultsTo("runs"), "where run ledgers are created/resolved");
+    pub const NO_RUN: Flag = switch("--no-run", "do not record this invocation under runs/");
+    pub const THREADS: Flag = flag("--threads", "N", FallsBackTo("LITHO_THREADS env var, else the detected core count"), "worker-pool width for the compute kernels; 0 = auto");
+    pub const SIMD: Flag = flag("--simd", "LEVEL", FallsBackTo("LITHO_SIMD env var, else CPUID detection; never exceeds the host ISA"), "kernel level: auto, avx2 or scalar");
+    pub const HELP: Flag = switch("--help", "print the command's help and exit");
+
+    // generate, train, eval, predict
+    pub const NODE: Flag = flag("--node", "N10|N7", DefaultsTo("N10"), "process node preset");
+    pub const CLIPS: Flag = flag("--clips", "N", DefaultsTo("140"), "number of layout clips");
+    pub const SIZE: Flag = flag("--size", "S", DefaultsTo("64"), "image resolution in pixels");
+    pub const JITTER: Flag = flag("--jitter", "NM", DefaultsTo("3.0"), "mask corner jitter in nm");
+    pub const DATASET_OUT: Flag = flag("--out", "FILE", Required, "output dataset path");
+    pub const DATA: Flag = flag("--data", "FILE", Required, "dataset from `generate`");
+    pub const EPOCHS: Flag = flag("--epochs", "N", DefaultsTo("10"), "training epochs");
+    pub const SEED: Flag = flag("--seed", "N", DefaultsTo("0"), "RNG seed");
+    pub const AUGMENT: Flag = switch("--augment", "enable flip/rotate augmentation");
+    pub const HEALTH: Flag = switch("--health", "stream model-health records to the run's health.jsonl");
+    pub const HEALTH_STRIDE: Flag = flag("--health-stride", "N", DefaultsTo("8"), "sample every Nth step; implies --health");
+    pub const ABORT_ON: Flag = flag("--abort-on", "LIST", Unset, "abort training on nan and/or collapse; implies --health");
+    pub const POISON_NAN_AT_EPOCH: Flag = flag("--poison-nan-at-epoch", "N", Unset, "fault injection: plant a NaN weight at epoch N");
+    pub const MODEL_OUT: Flag = flag(DATASET_OUT.name, "FILE", Required, "model output path");
+    pub const MODEL: Flag = flag("--model", "FILE", Required, "model from `train`");
+    pub const INDEX: Flag = flag("--index", "I", DefaultsTo("0"), "sample index");
+    pub const OUT_DIR: Flag = flag("--out-dir", "DIR", DefaultsTo("."), "where to write panels");
+
+    // triage, profile, health, compare
+    pub const WORST: Flag = flag("--worst", "K", DefaultsTo("10"), "panels/rows to show");
+    pub const TOP: Flag = flag("--top", "N", DefaultsTo("20"), "table rows");
+    pub const FAIL_ON: Flag = flag("--fail-on", "LIST", Unset, "comma-separated diagnoses that exit nonzero when present (aliases: nan, collapse)");
+    pub const BASELINE_GATE: Flag = flag("--gate", "FILE", Unset, "baseline to gate against");
+    pub const GATE_TOL: Flag = flag("--tol-pct", "N", Unset, "tolerance override in percent");
+    pub const WRITE_BASELINE: Flag = flag("--write-baseline", "FILE", Unset, "regenerate a baseline from <run-a>'s metrics (records <run-a>'s id, which `runs gc` then protects)");
+
+    // runs ls|trend|diff-eval|gc, alerts, watch, dash
+    pub const STATUS: Flag = flag("--status", "S", Unset, "keep runs with this status (ok, error, running; aborted matches any aborted(...))");
+    pub const COMMAND: Flag = flag("--command", "C", Unset, "keep runs of this command (train, eval, ...)");
+    pub const DATASET: Flag = flag("--dataset", "FP", Unset, "keep runs whose dataset fingerprint starts with FP");
+    pub const LAST: Flag = flag("--last", "N", Unset, "keep only the N most recent runs");
+    pub const LS_JSON: Flag = switch("--json", "one index record per line as JSON, byte-identical to the index lines and the dash /api/runs entries");
+    pub const SLICE: Flag = flag("--slice", "family=F", Unset, "trend the per-family slice of each metric (e.g. ede_mean_nm restricted to chain1d clips); runs without that slice abstain rather than read as zero");
+    pub const DRIFT_GATE: Flag = switch(BASELINE_GATE.name, "exit nonzero when a drift is confirmed (CI)");
+    pub const TREND_TOL: Flag = flag(GATE_TOL.name, "P", FallsBackTo("10"), "how far from the fleet median a run is off, in percent");
+    pub const DRIFT_RUNS: Flag = flag("--drift-runs", "N", FallsBackTo("2"), "consecutive off runs that confirm a drift");
+    pub const TREND_OUT: Flag = flag(DATASET_OUT.name, "FILE", FallsBackTo("<runs-root>/trend.svg"), "where to write trend.svg");
+    pub const DIFF_TOL: Flag = flag(GATE_TOL.name, "P", DefaultsTo("10"), "allowed per-clip EDE growth in percent");
+    pub const DIFF_GATE: Flag = switch(BASELINE_GATE.name, "exit nonzero when any clip regressed (CI)");
+    pub const KEEP: Flag = flag("--keep", "N", Required, "run directories to keep");
+    pub const GC_BASELINE: Flag = flag("--baseline", "FILE", FallsBackTo("ci/baseline.json when present"), "baseline whose recorded run is never removed");
+    pub const RULES: Flag = flag("--rules", "FILE", FallsBackTo("<runs-root>/alerts.toml, else the built-in set"), "alert rule config (TOML subset)");
+    pub const ALERTS_GATE: Flag = switch(BASELINE_GATE.name, "exit nonzero while any alert is firing (CI)");
+    pub const ALERTS_JSON: Flag = switch(LS_JSON.name, "also print active alerts as JSONL records");
+    pub const INTERVAL_MS: Flag = flag("--interval-ms", "N", DefaultsTo("200"), "poll interval");
+    pub const TIMEOUT_S: Flag = flag("--timeout-s", "N", FallsBackTo("wait forever"), "give up after N seconds");
+    pub const WAIT_S: Flag = flag("--wait-s", "N", DefaultsTo("10"), "how long to wait for the run directory to appear");
+    pub const ADDR: Flag = flag("--addr", "HOST:PORT", DefaultsTo("127.0.0.1:9091"), "address to bind; port 0 picks an ephemeral port, announced on stdout");
+}
+
+const GLOBAL_FLAGS: &[Flag] = &[TRACE, METRICS_OUT, RUNS_ROOT, NO_RUN, THREADS, SIMD, HELP];
+
+/// One command: its words (`"runs ls"` for a subcommand), its operands
+/// (`<..>` required, `[..]` optional), its flags and its prose help. An
+/// entry whose name starts other entries' names (`runs`) is a family
+/// header that only carries the prose its subcommands share.
+#[derive(Debug, PartialEq)]
+struct Spec {
+    name: &'static str,
+    operands: &'static str,
+    flags: &'static [Flag],
+    about: &'static str,
+}
+
+fn is_family(spec: &Spec) -> bool {
+    specs_for(spec.name).any(|s| s.name != spec.name)
+}
+
+/// Every command, in the order `usage` lists them.
+#[rustfmt::skip]
+const COMMANDS: &[Spec] = &[
+    Spec { name: "generate", operands: "", flags: &[NODE, CLIPS, SIZE, JITTER, DATASET_OUT], about: "\
+        Synthesizes a mask/aerial/resist dataset with the in-tree lithography\n\
+        simulator and writes it to FILE." },
+    Spec { name: "train", operands: "", flags: &[DATA, EPOCHS, SEED, AUGMENT, HEALTH, HEALTH_STRIDE, ABORT_ON, POISON_NAN_AT_EPOCH, MODEL_OUT], about: "\
+        Trains LithoGAN on the 75% train split, saves the model, then\n\
+        evaluates the 25% test split; per-sample metrics land in the run's\n\
+        samples.jsonl and the loss curve in its trace." },
+    Spec { name: "eval", operands: "", flags: &[DATA, MODEL], about: "\
+        Evaluates a trained model on the test split: EDE, pixel/class\n\
+        accuracy, mean IoU and centre error, with one record per sample\n\
+        appended to the run ledger." },
+    Spec { name: "predict", operands: "", flags: &[DATA, MODEL, INDEX, OUT_DIR], about: "\
+        Runs inference on one sample, writes mask/prediction panels as PPM\n\
+        and records that sample's metrics in the run ledger." },
+    Spec { name: "report", operands: "<run-id|run-dir>", flags: &[], about: "\
+        Renders one recorded run: manifest, aggregated per-sample metrics,\n\
+        span timing table with exact p50/p95/p99, critical path and\n\
+        counters. Also writes runs/<id>/dashboard.svg (loss curves, EDE\n\
+        histogram, stage latency). The argument is a directory path or a\n\
+        run id resolved under --runs-root." },
+    Spec { name: "triage", operands: "<run-id|run-dir>", flags: &[WORST], about: "\
+        Ranks a run's per-sample records by EDE — contours that vanished\n\
+        outrank every numeric error — and prints the worst K as a table\n\
+        (sample index, clip fingerprint, family, mean and per-edge EDE).\n\
+        Also writes runs/<id>/triage.svg: a self-contained gallery with\n\
+        one schematic panel per clip (mask target, golden contour,\n\
+        predicted contour displaced by the recorded per-edge EDE).\n\
+        Legacy records without clip identity still rank; their clip and\n\
+        family columns show \"-\"." },
+    Spec { name: "profile", operands: "<run-id|run-dir>", flags: &[TOP], about: "\
+        Folds a run's trace.jsonl into a self-time profile: writes\n\
+        runs/<id>/flamegraph.svg (icicle layout, frames tinted by the\n\
+        roofline verdict of their kernel cost model) and\n\
+        runs/<id>/flamegraph.folded (Brendan-Gregg folded-stack text),\n\
+        and prints a top-N attribution table ranked by self time with\n\
+        achieved GFLOP/s, arithmetic intensity and compute- vs\n\
+        memory-bound verdict per instrumented kernel. The classification\n\
+        threshold is the host machine balance, LITHO_MACHINE_BALANCE\n\
+        (FLOPs per byte, default 8)." },
+    Spec { name: "health", operands: "<run-id|run-dir>", flags: &[FAIL_ON], about: "\
+        Analyzes a run's health.jsonl (from `train --health`): per-layer\n\
+        activation/gradient tables, update-to-weight ratios, GAN balance\n\
+        signals and the six named diagnoses (vanishing-gradient,\n\
+        exploding-update, dead-layer, d-overpowers-g, mode-collapse,\n\
+        nan-poisoned) with first-seen epoch/step. Also writes\n\
+        runs/<id>/health.svg (sparkline panel)." },
+    Spec { name: "compare", operands: "<run-a> [<run-b>]", flags: &[BASELINE_GATE, GATE_TOL, WRITE_BASELINE], about: "\
+        With two runs: aligned metric/latency delta table.\n\
+        With --gate: checks <run-a> against a baseline JSON\n\
+        ({\"tol_pct\": N, \"metrics\": {...}}) and exits nonzero when any\n\
+        metric regressed beyond tolerance — the CI regression gate." },
+    Spec { name: "runs", operands: "", flags: &[], about: "\
+        Fleet-level views over the append-only runs index\n\
+        (<runs-root>/index.jsonl, maintained by every finalizing run;\n\
+        repair it with `reindex`)." },
+    Spec { name: "runs ls", operands: "", flags: &[STATUS, COMMAND, DATASET, LAST, LS_JSON], about: "\
+        ls: one line per run: id, start, status, dataset fingerprint,\n\
+        headline EDE and health verdict." },
+    Spec { name: "runs trend", operands: "<metric[,metric...]>", flags: &[SLICE, LAST, DRIFT_GATE, TREND_TOL, DRIFT_RUNS, TREND_OUT], about: "\
+        trend: aligned per-run table of the metric plus a self-contained\n\
+        trend.svg. Drift detection is streak-based: a run is off when beyond\n\
+        --tol-pct of the fleet median, and --drift-runs consecutive off runs\n\
+        confirm a drift." },
+    Spec { name: "runs diff-eval", operands: "<run-a> <run-b>", flags: &[DIFF_TOL, DIFF_GATE], about: "\
+        diff-eval: join two runs' samples.jsonl by clip fingerprint and\n\
+        bucket every shared clip: regressed / improved / unchanged vs\n\
+        --tol-pct, plus clips only one run evaluated (new / missing).\n\
+        Records without fingerprints (legacy ledgers) are counted but\n\
+        can't join." },
+    Spec { name: "runs gc", operands: "", flags: &[KEEP, GC_BASELINE], about: "\
+        gc: remove all but the newest --keep N run directories, never\n\
+        touching running runs or the run recorded in the baseline, then\n\
+        rebuild the index." },
+    Spec { name: "reindex", operands: "", flags: &[], about: "\
+        Rebuilds <runs-root>/index.jsonl from the surviving run\n\
+        directories (manifest + samples.jsonl aggregate + health.jsonl\n\
+        verdict) and swaps it in atomically. Use after crashes, manual\n\
+        deletion or to adopt pre-index run directories." },
+    Spec { name: "alerts", operands: "", flags: &[RULES, ALERTS_GATE, ALERTS_JSON], about: "\
+        Evaluates the fleet's alert rules against the runs index, the\n\
+        health verdicts, the trend drift detector and live run activity,\n\
+        then prints the active alerts and appends state transitions\n\
+        (pending -> firing -> resolved, deduplicated by fingerprint) to\n\
+        <runs-root>/alerts.jsonl. The built-in rules page on unhealthy\n\
+        runs and warn on ede_mean_nm drift — aggregate and per-family —\n\
+        and on stalled runs. See DESIGN.md §4g for the rule schema\n\
+        (threshold / drift / slice_drift / health / stale).\n\n\
+        Crashed or aborted runs additionally ship a post-mortem in\n\
+        runs/<id>/incident/: the telemetry flight-recorder ring, panic\n\
+        message + backtrace, manifest snapshot, process counters and the\n\
+        last per-layer tensor stats." },
+    Spec { name: "watch", operands: "<run-id|run-dir>", flags: &[INTERVAL_MS, TIMEOUT_S, WAIT_S], about: "\
+        Live-follows an in-flight run: incrementally tails its\n\
+        trace.jsonl and health.jsonl (tolerating torn lines from the\n\
+        concurrent writer), rendering epoch progress, loss deltas, an\n\
+        ETA from the epoch cadence and live health verdicts. Alert\n\
+        transitions appended to <runs-root>/alerts.jsonl while watching\n\
+        are echoed live. Exits 0 when the run finishes ok, nonzero when\n\
+        it errors or aborts — so `watch` can stand in for the run's own\n\
+        exit code. A run directory removed mid-watch (e.g. by\n\
+        `runs gc`) is a hard error, not an endless wait." },
+    Spec { name: "dash", operands: "", flags: &[ADDR], about: "\
+        Serves the runs fleet over HTTP until POST /shutdown, Ctrl-C or\n\
+        SIGTERM. Endpoints:\n\n  \
+        GET /                       HTML fleet page\n  \
+        GET /metrics                Prometheus text exposition: run counts\n                              \
+        by status, latest headline metrics per\n                              \
+        command, drift-detector state, live gauges\n                              \
+        for in-flight runs, dash self metrics\n  \
+        GET /api/runs               all index records as JSON\n  \
+        GET /api/runs/<id>          one run: index record + manifest\n  \
+        GET /api/alerts             active alerts as JSON (evaluates the\n                              \
+        alert rules on each request)\n  \
+        GET /runs/<id>/dashboard.svg   report dashboard, rendered on demand\n  \
+        GET /runs/<id>/health.svg      health sparkline panel\n  \
+        GET /runs/<id>/trend.svg       fleet trends (ede/throughput/pool)\n  \
+        GET /runs/<id>/flamegraph.svg  self-time flamegraph\n  \
+        POST /shutdown              clean stop\n\n\
+        The daemon records itself in the runs ledger: request counters and\n\
+        latency quantiles land in its trace.jsonl and its manifest is\n\
+        finalized on shutdown, so `runs trend` works on dash runs too.\n\
+        Addresses in --runs-root; disable the self-run with --no-run." },
+    Spec { name: "help", operands: "[command]", flags: &[], about: "\
+        Prints the usage, or one command's flags and help." },
+];
+
+/// The entries under command word `word`: one command, or a family
+/// header and its subcommands.
+fn specs_for(word: &str) -> impl Iterator<Item = &'static Spec> + '_ {
+    COMMANDS
+        .iter()
+        .filter(move |s| s.name.split(' ').next() == Some(word))
+}
+
+fn synopsis(spec: &Spec) -> String {
+    let flags = spec.flags.iter().map(|f| match (&f.absent, f.value) {
+        (_, "") => format!(" [{}]", f.name),
+        (Required, v) => format!(" {} {v}", f.name),
+        (_, v) => format!(" [{} {v}]", f.name),
+    });
+    let head = format!("lithogan-cli {} {}", spec.name, spec.operands);
+    head.trim_end().to_string() + &flags.collect::<String>()
+}
+
+fn flag_rows(flags: &[Flag]) -> String {
+    let row = |f: &Flag| {
+        let note = match f.absent {
+            Required => " (required)".to_string(),
+            Unset => String::new(),
+            DefaultsTo(v) | FallsBackTo(v) => format!(" (default {v})"),
+        };
+        let label = format!("{} {}", f.name, f.value);
+        format!("\n  {:<22}  {}{note}", label.trim_end(), f.help)
+    };
+    flags.iter().map(row).collect()
+}
+
+fn global_help() -> String {
     format!(
-        "usage:\n  \
-         lithogan-cli generate --node <N10|N7> [--clips N] [--size S] [--jitter NM] --out FILE\n  \
-         lithogan-cli train    --data FILE [--epochs N] [--seed N] [--augment] [--health] --out FILE\n  \
-         lithogan-cli eval     --data FILE --model FILE\n  \
-         lithogan-cli predict  --data FILE --model FILE --index I --out-dir DIR\n  \
-         lithogan-cli report   <run-id|run-dir>\n  \
-         lithogan-cli triage   <run-id|run-dir> [--worst K]\n  \
-         lithogan-cli profile  <run-id|run-dir> [--top N]\n  \
-         lithogan-cli health   <run-id|run-dir> [--fail-on LIST]\n  \
-         lithogan-cli compare  <run-a> [<run-b>] [--gate FILE] [--tol-pct N] [--write-baseline FILE]\n  \
-         lithogan-cli runs     ls [--status S] [--command C] [--dataset FP] [--last N] [--json]\n  \
-         lithogan-cli runs     trend <metric[,metric...]> [--slice family=F] [--last N] [--gate] [--tol-pct P] [--out FILE]\n  \
-         lithogan-cli runs     diff-eval <run-a> <run-b> [--gate] [--tol-pct P]\n  \
-         lithogan-cli runs     gc --keep N [--baseline FILE]\n  \
-         lithogan-cli reindex\n  \
-         lithogan-cli alerts   [--rules FILE] [--gate] [--json]\n  \
-         lithogan-cli watch    <run-id|run-dir> [--interval-ms N] [--timeout-s N]\n  \
-         lithogan-cli dash     [--addr HOST:PORT]\n  \
-         lithogan-cli help     [command]\n\
-         {GLOBAL_FLAGS_HELP}"
+        "global flags (accepted by every command, --flag VALUE or --flag=VALUE):{}",
+        flag_rows(GLOBAL_FLAGS)
     )
 }
 
-/// Detailed per-command help (satisfies `help <cmd>` and `<cmd> --help`).
+fn usage() -> String {
+    let runnable = COMMANDS.iter().filter(|s| !is_family(s));
+    let lines: String = runnable.map(|s| format!("\n  {}", synopsis(s))).collect();
+    format!("usage:{lines}\n{}", global_help())
+}
+
+/// Detailed per-command help (satisfies `help <cmd>` and `<cmd> --help`);
+/// the usage for an unknown command.
 fn command_help(cmd: &str) -> String {
-    let body = match cmd {
-        "generate" => {
-            "lithogan-cli generate --node <N10|N7> [--clips N] [--size S] [--jitter NM] --out FILE\n\n\
-             Synthesizes a mask/aerial/resist dataset with the in-tree lithography\n\
-             simulator and writes it to FILE.\n\n  \
-             --node N10|N7   process node preset (default N10)\n  \
-             --clips N       number of layout clips (default 140)\n  \
-             --size S        image resolution in pixels (default 64)\n  \
-             --jitter NM     mask corner jitter in nm (default 3.0)\n  \
-             --out FILE      output dataset path (required)"
-        }
-        "train" => {
-            "lithogan-cli train --data FILE [--epochs N] [--seed N] [--augment] [--health] --out FILE\n\n\
-             Trains LithoGAN on the 75% train split, saves the model, then\n\
-             evaluates the 25% test split; per-sample metrics land in the run's\n\
-             samples.jsonl and the loss curve in its trace.\n\n  \
-             --data FILE     dataset from `generate` (required)\n  \
-             --epochs N      training epochs (default 10)\n  \
-             --seed N        RNG seed (default 0)\n  \
-             --augment       enable flip/rotate augmentation\n  \
-             --health        stream model-health records to the run's health.jsonl\n  \
-             --health-stride N        sample every Nth step (default 8, implies --health)\n  \
-             --abort-on LIST          abort training on nan and/or collapse (implies --health)\n  \
-             --poison-nan-at-epoch N  fault injection: plant a NaN weight at epoch N\n  \
-             --out FILE      model output path (required)"
-        }
-        "health" => {
-            "lithogan-cli health <run-id|run-dir> [--fail-on LIST]\n\n\
-             Analyzes a run's health.jsonl (from `train --health`): per-layer\n\
-             activation/gradient tables, update-to-weight ratios, GAN balance\n\
-             signals and the six named diagnoses (vanishing-gradient,\n\
-             exploding-update, dead-layer, d-overpowers-g, mode-collapse,\n\
-             nan-poisoned) with first-seen epoch/step. Also writes\n\
-             runs/<id>/health.svg (sparkline panel).\n\n  \
-             --fail-on LIST  comma-separated diagnoses that exit nonzero when\n                  \
-             present (aliases: nan, collapse)"
-        }
-        "eval" => {
-            "lithogan-cli eval --data FILE --model FILE\n\n\
-             Evaluates a trained model on the test split: EDE, pixel/class\n\
-             accuracy, mean IoU and centre error, with one record per sample\n\
-             appended to the run ledger.\n\n  \
-             --data FILE     dataset from `generate` (required)\n  \
-             --model FILE    model from `train` (required)"
-        }
-        "predict" => {
-            "lithogan-cli predict --data FILE --model FILE --index I --out-dir DIR\n\n\
-             Runs inference on one sample, writes mask/prediction panels as PPM\n\
-             and records that sample's metrics in the run ledger.\n\n  \
-             --data FILE     dataset from `generate` (required)\n  \
-             --model FILE    model from `train` (required)\n  \
-             --index I       sample index (default 0)\n  \
-             --out-dir DIR   where to write panels (default .)"
-        }
-        "report" => {
-            "lithogan-cli report <run-id|run-dir>\n\n\
-             Renders one recorded run: manifest, aggregated per-sample metrics,\n\
-             span timing table with exact p50/p95/p99, critical path and\n\
-             counters. Also writes runs/<id>/dashboard.svg (loss curves, EDE\n\
-             histogram, stage latency). The argument is a directory path or a\n\
-             run id resolved under --runs-root."
-        }
-        "triage" => {
-            "lithogan-cli triage <run-id|run-dir> [--worst K]\n\n\
-             Ranks a run's per-sample records by EDE — contours that vanished\n\
-             outrank every numeric error — and prints the worst K as a table\n\
-             (sample index, clip fingerprint, family, mean and per-edge EDE).\n\
-             Also writes runs/<id>/triage.svg: a self-contained gallery with\n\
-             one schematic panel per clip (mask target, golden contour,\n\
-             predicted contour displaced by the recorded per-edge EDE).\n\
-             Legacy records without clip identity still rank; their clip and\n\
-             family columns show \"-\".\n\n  \
-             --worst K       panels/rows to show (default 10)"
-        }
-        "profile" => {
-            "lithogan-cli profile <run-id|run-dir> [--top N]\n\n\
-             Folds a run's trace.jsonl into a self-time profile: writes\n\
-             runs/<id>/flamegraph.svg (icicle layout, frames tinted by the\n\
-             roofline verdict of their kernel cost model) and\n\
-             runs/<id>/flamegraph.folded (Brendan-Gregg folded-stack text),\n\
-             and prints a top-N attribution table ranked by self time with\n\
-             achieved GFLOP/s, arithmetic intensity and compute- vs\n\
-             memory-bound verdict per instrumented kernel.\n\n  \
-             --top N         table rows (default 20)\n\n\
-             The classification threshold is the host machine balance,\n\
-             LITHO_MACHINE_BALANCE (FLOPs per byte, default 8)."
-        }
-        "compare" => {
-            "lithogan-cli compare <run-a> [<run-b>] [--gate FILE] [--tol-pct N] [--write-baseline FILE]\n\n\
-             With two runs: aligned metric/latency delta table.\n\
-             With --gate: checks <run-a> against a baseline JSON\n\
-             ({\"tol_pct\": N, \"metrics\": {...}}) and exits nonzero when any\n\
-             metric regressed beyond tolerance — the CI regression gate.\n\n  \
-             --gate FILE           baseline to gate against\n  \
-             --tol-pct N           tolerance override in percent\n  \
-             --write-baseline FILE regenerate a baseline from <run-a>'s metrics\n                        \
-             (records <run-a>'s id, which `runs gc` then protects)"
-        }
-        "runs" => {
-            "lithogan-cli runs ls    [--status S] [--command C] [--dataset FP] [--last N] [--json]\n\
-             lithogan-cli runs trend <metric[,metric...]> [--slice family=F] [--last N] [--gate]\n                         \
-             [--tol-pct P] [--drift-runs N] [--out FILE]\n\
-             lithogan-cli runs diff-eval <run-a> <run-b> [--gate] [--tol-pct P]\n\
-             lithogan-cli runs gc    --keep N [--baseline FILE]\n\n\
-             Fleet-level views over the append-only runs index\n\
-             (<runs-root>/index.jsonl, maintained by every finalizing run;\n\
-             repair it with `reindex`).\n\n\
-             ls    one line per run: id, start, status, dataset fingerprint,\n                   \
-             headline EDE and health verdict.\n  \
-             --status S      keep runs with this status (ok, error, running,\n                  \
-             aborted matches any aborted(...))\n  \
-             --command C     keep runs of this command (train, eval, ...)\n  \
-             --dataset FP    keep runs whose dataset fingerprint starts with FP\n  \
-             --last N        keep only the N most recent\n  \
-             --json          one index record per line as JSON, byte-identical\n                  \
-             to the index lines and the dash /api/runs entries\n\n\
-             trend aligned per-run table of the metric plus a self-contained\n                   \
-             trend.svg (written to <runs-root>/trend.svg unless --out).\n                   \
-             Drift detection is streak-based: a run is off when beyond\n                   \
-             --tol-pct (default 10) of the fleet median, and --drift-runs\n                   \
-             (default 2) consecutive off runs confirm a drift.\n  \
-             --slice family=F  trend the per-family slice of each metric\n                  \
-             (e.g. ede_mean_nm restricted to chain1d clips); runs\n                  \
-             without that slice abstain rather than read as zero\n  \
-             --gate          exit nonzero when a drift is confirmed (CI)\n\n\
-             diff-eval  join two runs' samples.jsonl by clip fingerprint and\n                   \
-             bucket every shared clip: regressed / improved /\n                   \
-             unchanged vs --tol-pct (default 10), plus clips only one\n                   \
-             run evaluated (new / missing). Records without\n                   \
-             fingerprints (legacy ledgers) are counted but can't join.\n  \
-             --tol-pct P     allowed per-clip EDE growth in percent\n  \
-             --gate          exit nonzero when any clip regressed (CI)\n\n\
-             gc    remove all but the newest --keep N run directories, never\n                   \
-             touching running runs or the run recorded in the baseline\n                   \
-             (--baseline FILE, default ci/baseline.json when present),\n                   \
-             then rebuild the index."
-        }
-        "reindex" => {
-            "lithogan-cli reindex\n\n\
-             Rebuilds <runs-root>/index.jsonl from the surviving run\n\
-             directories (manifest + samples.jsonl aggregate + health.jsonl\n\
-             verdict) and swaps it in atomically. Use after crashes, manual\n\
-             deletion or to adopt pre-index run directories."
-        }
-        "alerts" => {
-            "lithogan-cli alerts [--rules FILE] [--gate] [--json]\n\n\
-             Evaluates the fleet's alert rules against the runs index, the\n\
-             health verdicts, the trend drift detector and live run activity,\n\
-             then prints the active alerts and appends state transitions\n\
-             (pending -> firing -> resolved, deduplicated by fingerprint) to\n\
-             <runs-root>/alerts.jsonl. Rules come from --rules FILE, else\n\
-             <runs-root>/alerts.toml, else a built-in set (page on unhealthy\n\
-             runs, warn on ede_mean_nm drift — aggregate and per-family —\n\
-             and stalled runs). See `help alerts-rules`-style docs in\n\
-             DESIGN.md §4g for the rule schema (threshold / drift /\n\
-             slice_drift / health / stale).\n\n  \
-             --rules FILE    alert rule config (TOML subset)\n  \
-             --gate          exit nonzero while any alert is firing (CI)\n  \
-             --json          also print active alerts as JSONL records\n\n\
-             Crashed or aborted runs additionally ship a post-mortem in\n\
-             runs/<id>/incident/: the telemetry flight-recorder ring, panic\n\
-             message + backtrace, manifest snapshot, process counters and the\n\
-             last per-layer tensor stats."
-        }
-        "watch" => {
-            "lithogan-cli watch <run-id|run-dir> [--interval-ms N] [--timeout-s N]\n\n\
-             Live-follows an in-flight run: incrementally tails its\n\
-             trace.jsonl and health.jsonl (tolerating torn lines from the\n\
-             concurrent writer), rendering epoch progress, loss deltas, an\n\
-             ETA from the epoch cadence and live health verdicts. Alert\n\
-             transitions appended to <runs-root>/alerts.jsonl while watching\n\
-             are echoed live. Exits 0 when the run finishes ok, nonzero when\n\
-             it errors or aborts — so `watch` can stand in for the run's own\n\
-             exit code. A run directory removed mid-watch (e.g. by\n\
-             `runs gc`) is a hard error, not an endless wait.\n\n  \
-             --interval-ms N poll interval (default 200)\n  \
-             --timeout-s N   give up after N seconds (default: wait forever)"
-        }
-        "dash" => {
-            "lithogan-cli dash [--addr HOST:PORT]\n\n\
-             Serves the runs fleet over HTTP until POST /shutdown, Ctrl-C or\n\
-             SIGTERM. Endpoints:\n\n  \
-             GET /                       HTML fleet page\n  \
-             GET /metrics                Prometheus text exposition: run counts\n                              \
-             by status, latest headline metrics per\n                              \
-             command, drift-detector state, live gauges\n                              \
-             for in-flight runs, dash self metrics\n  \
-             GET /api/runs               all index records as JSON\n  \
-             GET /api/runs/<id>          one run: index record + manifest\n  \
-             GET /api/alerts             active alerts as JSON (evaluates the\n                              \
-             alert rules on each request)\n  \
-             GET /runs/<id>/dashboard.svg   report dashboard, rendered on demand\n  \
-             GET /runs/<id>/health.svg      health sparkline panel\n  \
-             GET /runs/<id>/trend.svg       fleet trends (ede/throughput/pool)\n  \
-             GET /runs/<id>/flamegraph.svg  self-time flamegraph\n  \
-             POST /shutdown              clean stop\n\n  \
-             --addr HOST:PORT address to bind (default 127.0.0.1:9091; port 0\n                   \
-             picks an ephemeral port, announced on stdout)\n\n\
-             The daemon records itself in the runs ledger: request counters and\n\
-             latency quantiles land in its trace.jsonl and its manifest is\n\
-             finalized on shutdown, so `runs trend` works on dash runs too.\n\
-             Addresses in --runs-root; disable the self-run with --no-run."
-        }
-        _ => return usage(),
-    };
-    format!("{body}\n\n{GLOBAL_FLAGS_HELP}")
+    let block = |s: &Spec| format!("{}\n\n{}{}\n\n", synopsis(s), s.about, flag_rows(s.flags));
+    let blocks: String = specs_for(cmd).map(block).collect();
+    if blocks.is_empty() {
+        return usage();
+    }
+    blocks + &global_help()
 }
 
 /// Global flags, accepted by every command.
@@ -394,93 +453,19 @@ struct GlobalOpts {
     simd: Option<litho_tensor::KernelLevel>,
 }
 
-impl Default for GlobalOpts {
-    fn default() -> Self {
-        GlobalOpts {
-            trace: false,
-            metrics_out: None,
-            runs_root: "runs".to_string(),
-            no_run: false,
-            threads: None,
-            simd: None,
-        }
-    }
-}
-
-/// Parses a `--simd` operand (`auto` resolves via CPUID inside
-/// [`litho_tensor::parse_level`]).
-fn parse_simd_arg(value: &str) -> Result<litho_tensor::KernelLevel> {
-    litho_tensor::parse_level(value)
-        .ok_or_else(|| bad(format!("--simd: unknown level {value:?} (auto|avx2|scalar)")))
-}
-
-/// Strips the global flags out of `args` so subcommand parsing never sees
-/// them, and returns them parsed.
-///
-/// # Errors
-///
-/// Returns an error for a value-taking flag without its value (the
-/// subcommand parsers ignore flags they don't know, so it can't be left
-/// for them to reject).
-fn split_global_args(args: &[String]) -> Result<(Vec<String>, GlobalOpts)> {
-    let mut opts = GlobalOpts::default();
-    let mut rest = Vec::with_capacity(args.len());
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        match arg {
-            "--trace" => opts.trace = true,
-            "--no-run" => opts.no_run = true,
-            "--metrics-out" => {
-                if i + 1 >= args.len() {
-                    return Err(bad("--metrics-out requires a file path"));
-                }
-                opts.metrics_out = Some(args[i + 1].clone());
-                i += 1;
-            }
-            "--runs-root" => {
-                if i + 1 >= args.len() {
-                    return Err(bad("--runs-root requires a directory path"));
-                }
-                opts.runs_root = args[i + 1].clone();
-                i += 1;
-            }
-            "--threads" => {
-                if i + 1 >= args.len() {
-                    return Err(bad("--threads requires a count"));
-                }
-                opts.threads = Some(args[i + 1].parse().map_err(|_| bad("--threads"))?);
-                i += 1;
-            }
-            "--simd" => {
-                if i + 1 >= args.len() {
-                    return Err(bad("--simd requires a level (auto|avx2|scalar)"));
-                }
-                opts.simd = Some(parse_simd_arg(&args[i + 1])?);
-                i += 1;
-            }
-            // `--flag=value` spelling, matching the bench binaries.
-            _ if arg.starts_with("--metrics-out=") => {
-                opts.metrics_out = Some(arg["--metrics-out=".len()..].to_string());
-            }
-            _ if arg.starts_with("--runs-root=") => {
-                opts.runs_root = arg["--runs-root=".len()..].to_string();
-            }
-            _ if arg.starts_with("--threads=") => {
-                opts.threads = Some(
-                    arg["--threads=".len()..]
-                        .parse()
-                        .map_err(|_| bad("--threads"))?,
-                );
-            }
-            _ if arg.starts_with("--simd=") => {
-                opts.simd = Some(parse_simd_arg(&arg["--simd=".len()..])?);
-            }
-            _ => rest.push(args[i].clone()),
-        }
-        i += 1;
-    }
-    Ok((rest, opts))
+fn global_opts(g: &Given) -> Result<GlobalOpts> {
+    // `auto` resolves via CPUID inside `parse_level`.
+    let level = |v: String| litho_tensor::parse_level(&v).ok_or(v);
+    let simd = g.opt(&SIMD)?.map(level).transpose();
+    let simd = simd.map_err(|v| bad(format!("{}: unknown level {v:?}", SIMD.name)));
+    Ok(GlobalOpts {
+        trace: g.has(&TRACE),
+        metrics_out: g.opt(&METRICS_OUT)?,
+        runs_root: g.get(&RUNS_ROOT)?,
+        no_run: g.has(&NO_RUN),
+        threads: g.opt(&THREADS)?,
+        simd: simd?,
+    })
 }
 
 fn bad(msg: impl Into<String>) -> TensorError {
@@ -491,227 +476,244 @@ fn io_err(e: std::io::Error) -> TensorError {
     bad(e.to_string())
 }
 
-/// Parses an argument vector (without the program name or global flags).
-fn parse(args: &[String]) -> Result<Command> {
-    let get = |flag: &str| -> Option<String> {
-        args.windows(2)
-            .find(|w| w[0] == flag)
-            .map(|w| w[1].clone())
-    };
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    // Positional operands: everything that is not a flag or a flag value.
-    // `boolean_flags` names the flags that take no value for the command
-    // at hand (`--gate` is a value flag in `compare` but boolean in
-    // `runs trend`, so the set is per-command).
-    let positionals_with = |boolean_flags: &[&str]| -> Vec<String> {
-        let mut out = Vec::new();
-        let mut skip = false;
-        for a in &args[1..] {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if let Some(stripped) = a.strip_prefix("--") {
-                skip = !boolean_flags.contains(&stripped);
-                continue;
-            }
-            out.push(a.clone());
-        }
-        out
-    };
-    let positionals = || positionals_with(&["augment", "help", "health"]);
-    let command = args.first().map(String::as_str);
-    if has("--help") {
-        return Ok(match command {
-            Some(cmd) => Command::HelpFor(cmd.to_string()),
-            None => Command::Help,
-        });
+/// The flags a command line gave, in order, with their values (`None`
+/// for a boolean flag).
+#[derive(Debug, Default, PartialEq)]
+struct Given(Vec<(&'static str, Option<String>)>);
+
+impl Given {
+    fn has(&self, flag: &Flag) -> bool {
+        self.0.iter().any(|(name, _)| *name == flag.name)
     }
-    match command {
-        Some("generate") => Ok(Command::Generate {
-            node: get("--node").unwrap_or_else(|| "N10".into()),
-            clips: get("--clips").map_or(Ok(140), |v| v.parse().map_err(|_| bad("--clips")))?,
-            size: get("--size").map_or(Ok(64), |v| v.parse().map_err(|_| bad("--size")))?,
-            jitter_nm: get("--jitter").map_or(Ok(3.0), |v| v.parse().map_err(|_| bad("--jitter")))?,
-            out: get("--out").ok_or_else(|| bad("generate requires --out"))?,
-        }),
-        Some("train") => Ok(Command::Train {
-            data: get("--data").ok_or_else(|| bad("train requires --data"))?,
-            epochs: get("--epochs").map_or(Ok(10), |v| v.parse().map_err(|_| bad("--epochs")))?,
-            seed: get("--seed").map_or(Ok(0), |v| v.parse().map_err(|_| bad("--seed")))?,
-            augment: has("--augment"),
-            // Any health-adjacent flag implies the health stream.
-            health: has("--health")
-                || has("--health-stride")
-                || has("--abort-on")
-                || has("--poison-nan-at-epoch"),
-            health_stride: get("--health-stride")
-                .map_or(Ok(8), |v| v.parse().map_err(|_| bad("--health-stride")))?,
-            abort_on: get("--abort-on"),
-            poison_nan_at_epoch: get("--poison-nan-at-epoch")
-                .map(|v| v.parse().map_err(|_| bad("--poison-nan-at-epoch")))
-                .transpose()?,
-            out: get("--out").ok_or_else(|| bad("train requires --out"))?,
-        }),
-        Some("eval") => Ok(Command::Eval {
-            data: get("--data").ok_or_else(|| bad("eval requires --data"))?,
-            model: get("--model").ok_or_else(|| bad("eval requires --model"))?,
-        }),
-        Some("predict") => Ok(Command::Predict {
-            data: get("--data").ok_or_else(|| bad("predict requires --data"))?,
-            model: get("--model").ok_or_else(|| bad("predict requires --model"))?,
-            index: get("--index").map_or(Ok(0), |v| v.parse().map_err(|_| bad("--index")))?,
-            out_dir: get("--out-dir").unwrap_or_else(|| ".".into()),
-        }),
-        Some("report") => {
-            let pos = positionals();
-            match pos.as_slice() {
-                [run] => Ok(Command::Report { run: run.clone() }),
-                _ => Err(bad("report takes exactly one <run-id|run-dir>")),
+
+    /// The value given for `flag`, else its default, parsed.
+    fn opt<T: FromStr>(&self, flag: &Flag) -> Result<Option<T>> {
+        let given = self.0.iter().find(|(name, _)| *name == flag.name);
+        let raw = match (given, &flag.absent) {
+            (Some((_, value)), _) => value.as_deref(),
+            (None, DefaultsTo(value)) => Some(*value),
+            (None, _) => None,
+        };
+        let invalid = |v: &str| bad(format!("{}: invalid {} {v:?}", flag.name, flag.value));
+        raw.map(|v| v.parse().map_err(|_| invalid(v))).transpose()
+    }
+
+    /// The value of a required or defaulted flag, parsed.
+    fn get<T: FromStr>(&self, flag: &Flag) -> Result<T> {
+        let missing = || bad(format!("missing {} {}", flag.name, flag.value));
+        self.opt(flag)?.ok_or_else(missing)
+    }
+}
+
+/// One scanned command line, before its values are typed.
+#[derive(Debug, Default, PartialEq)]
+struct Invocation {
+    /// The command; a family header until its subcommand word arrives.
+    spec: Option<&'static Spec>,
+    operands: Vec<String>,
+    flags: Given,
+    help: bool,
+}
+
+/// Splits `args` into the command, its operands, its flags and the
+/// global flags (which may appear anywhere), checking every flag
+/// against the tables. `--flag VALUE` and `--flag=VALUE` are both
+/// accepted; an unknown flag, a value flag without a value, a boolean
+/// flag given `=value` and a repeated flag are errors naming the flag
+/// and the command.
+fn scan(args: &[String]) -> Result<(Invocation, GlobalOpts)> {
+    let mut globals = Given::default();
+    let mut inv = Invocation::default();
+    let mut rest = args.iter().peekable();
+    while let Some(arg) = rest.next() {
+        let command = inv.spec.map_or("lithogan-cli", |s| s.name);
+        if !arg.starts_with("--") {
+            match inv.spec {
+                Some(spec) if !is_family(spec) => inv.operands.push(arg.clone()),
+                // The command word, or the subcommand word after a family's.
+                family => {
+                    let name = family.map_or(arg.clone(), |f| format!("{} {arg}", f.name));
+                    let spec = COMMANDS.iter().find(|s| s.name == name);
+                    inv.spec = Some(spec.ok_or_else(|| match family {
+                        Some(family) => missing_subcommand(family.name),
+                        None => bad(format!("unknown command {arg:?}\n{}", usage())),
+                    })?);
+                }
             }
+            continue;
         }
-        Some("triage") => {
-            let pos = positionals();
-            match pos.as_slice() {
-                [run] => Ok(Command::Triage {
-                    run: run.clone(),
-                    worst: get("--worst")
-                        .map_or(Ok(10), |v| v.parse().map_err(|_| bad("--worst")))?,
-                }),
-                _ => Err(bad("triage takes exactly one <run-id|run-dir>")),
-            }
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let local = inv.spec.map_or(&[][..], |s| s.flags);
+        let (flag, given) = match GLOBAL_FLAGS.iter().find(|f| f.name == name) {
+            Some(flag) => (flag, &mut globals),
+            None => match local.iter().find(|f| f.name == name) {
+                Some(flag) => (flag, &mut inv.flags),
+                None => return Err(bad(format!("{command}: unknown flag {name}"))),
+            },
+        };
+        let value = match (flag.value, inline) {
+            ("", Some(_)) => return Err(bad(format!("{command}: {name} takes no value"))),
+            ("", None) => None,
+            (_, Some(value)) => Some(value),
+            (_, None) => match rest.next_if(|v| !v.starts_with("--")) {
+                Some(value) => Some(value.clone()),
+                None => return Err(bad(format!("{command}: {name} requires a value"))),
+            },
+        };
+        if given.has(flag) {
+            return Err(bad(format!("{command}: {name} given more than once")));
         }
-        Some("profile") => {
-            let pos = positionals();
-            match pos.as_slice() {
-                [run] => Ok(Command::Profile {
-                    run: run.clone(),
-                    top: get("--top").map_or(Ok(20), |v| v.parse().map_err(|_| bad("--top")))?,
-                }),
-                _ => Err(bad("profile takes exactly one <run-id|run-dir>")),
-            }
+        given.0.push((flag.name, value));
+    }
+    inv.help = globals.has(&HELP);
+    match inv.spec {
+        Some(family) if is_family(family) && !inv.help => Err(missing_subcommand(family.name)),
+        _ => Ok((inv, global_opts(&globals)?)),
+    }
+}
+
+fn missing_subcommand(family: &str) -> TensorError {
+    bad(format!(
+        "{family} takes a subcommand\n{}",
+        command_help(family)
+    ))
+}
+
+/// Parses an argument vector (without the program name).
+fn parse_args(args: &[String]) -> Result<(Command, GlobalOpts)> {
+    let (inv, opts) = scan(args)?;
+    Ok((Command::try_from(inv)?, opts))
+}
+
+impl TryFrom<Invocation> for Command {
+    type Error = TensorError;
+
+    fn try_from(inv: Invocation) -> Result<Command> {
+        let Some(spec) = inv.spec else {
+            return Ok(Command::Help);
+        };
+        if inv.help {
+            let word = spec.name.split(' ').next().unwrap_or_default();
+            return Ok(Command::HelpFor(word.to_string()));
         }
-        Some("health") => {
-            let pos = positionals();
-            match pos.as_slice() {
-                [run] => Ok(Command::Health {
-                    run: run.clone(),
-                    fail_on: get("--fail-on"),
-                }),
-                _ => Err(bad("health takes exactly one <run-id|run-dir>")),
-            }
-        }
-        Some("compare") => {
-            let pos = positionals();
-            let (a, b) = match pos.as_slice() {
-                [a] => (a.clone(), None),
-                [a, b] => (a.clone(), Some(b.clone())),
-                _ => return Err(bad("compare takes <run-a> [<run-b>]")),
-            };
-            let gate = get("--gate");
-            let write_baseline = get("--write-baseline");
-            if b.is_none() && gate.is_none() && write_baseline.is_none() {
-                return Err(bad("compare needs a second run, --gate or --write-baseline"));
-            }
-            Ok(Command::Compare {
-                a,
-                b,
-                gate,
-                tol_pct: get("--tol-pct")
-                    .map(|v| v.parse().map_err(|_| bad("--tol-pct")))
-                    .transpose()?,
-                write_baseline,
-            })
-        }
-        Some("runs") => match args.get(1).map(String::as_str) {
-            Some("ls") => Ok(Command::RunsLs {
-                status: get("--status"),
-                command: get("--command"),
-                dataset: get("--dataset"),
-                last: get("--last")
-                    .map(|v| v.parse().map_err(|_| bad("--last")))
-                    .transpose()?,
-                json: has("--json"),
-            }),
-            Some("trend") => {
-                // The subcommand word is positional too; skip it.
-                let pos = positionals_with(&["augment", "help", "health", "gate"]);
-                let metrics = match pos.as_slice() {
-                    [_, m] => m.clone(),
-                    _ => return Err(bad("runs trend takes exactly one <metric[,metric...]>")),
-                };
-                Ok(Command::RunsTrend {
-                    metrics,
-                    slice: get("--slice"),
-                    last: get("--last")
-                        .map(|v| v.parse().map_err(|_| bad("--last")))
-                        .transpose()?,
-                    gate: has("--gate"),
-                    tol_pct: get("--tol-pct")
-                        .map(|v| v.parse().map_err(|_| bad("--tol-pct")))
-                        .transpose()?,
-                    drift_runs: get("--drift-runs")
-                        .map(|v| v.parse().map_err(|_| bad("--drift-runs")))
-                        .transpose()?,
-                    out: get("--out"),
-                })
-            }
-            Some("diff-eval") => {
-                // `--gate` is boolean here, like in `runs trend`.
-                let pos = positionals_with(&["augment", "help", "health", "gate"]);
-                let (a, b) = match pos.as_slice() {
-                    [_, a, b] => (a.clone(), b.clone()),
-                    _ => return Err(bad("runs diff-eval takes <run-a> <run-b>")),
-                };
-                Ok(Command::RunsDiffEval {
+        let m = &inv.flags;
+        let mut operands = inv.operands.iter().cloned();
+        let mut operand = || {
+            let missing = || bad(format!("{} takes {}", spec.name, spec.operands));
+            operands.next().ok_or_else(missing)
+        };
+        let cmd = match spec.name {
+            "generate" => Command::Generate {
+                node: m.get(&NODE)?,
+                clips: m.get(&CLIPS)?,
+                size: m.get(&SIZE)?,
+                jitter_nm: m.get(&JITTER)?,
+                out: m.get(&DATASET_OUT)?,
+            },
+            "train" => Command::Train {
+                data: m.get(&DATA)?,
+                epochs: m.get(&EPOCHS)?,
+                seed: m.get(&SEED)?,
+                augment: m.has(&AUGMENT),
+                // Any health-adjacent flag implies the health stream.
+                health: [HEALTH, HEALTH_STRIDE, ABORT_ON, POISON_NAN_AT_EPOCH]
+                    .iter()
+                    .any(|f| m.has(f)),
+                health_stride: m.get(&HEALTH_STRIDE)?,
+                abort_on: m.opt(&ABORT_ON)?,
+                poison_nan_at_epoch: m.opt(&POISON_NAN_AT_EPOCH)?,
+                out: m.get(&MODEL_OUT)?,
+            },
+            "eval" => Command::Eval {
+                data: m.get(&DATA)?,
+                model: m.get(&MODEL)?,
+            },
+            "predict" => Command::Predict {
+                data: m.get(&DATA)?,
+                model: m.get(&MODEL)?,
+                index: m.get(&INDEX)?,
+                out_dir: m.get(&OUT_DIR)?,
+            },
+            "report" => Command::Report { run: operand()? },
+            "triage" => Command::Triage {
+                run: operand()?,
+                worst: m.get(&WORST)?,
+            },
+            "profile" => Command::Profile {
+                run: operand()?,
+                top: m.get(&TOP)?,
+            },
+            "health" => Command::Health {
+                run: operand()?,
+                fail_on: m.opt(&FAIL_ON)?,
+            },
+            "compare" => {
+                let (a, b) = (operand()?, operand().ok());
+                let gate = m.opt(&BASELINE_GATE)?;
+                let write_baseline = m.opt(&WRITE_BASELINE)?;
+                if b.is_none() && gate.is_none() && write_baseline.is_none() {
+                    return Err(bad("compare needs <run-b>, --gate or --write-baseline"));
+                }
+                let tol_pct = m.opt(&GATE_TOL)?;
+                Command::Compare {
                     a,
                     b,
-                    gate: has("--gate"),
-                    tol_pct: get("--tol-pct")
-                        .map(|v| v.parse().map_err(|_| bad("--tol-pct")))
-                        .transpose()?,
-                })
+                    gate,
+                    tol_pct,
+                    write_baseline,
+                }
             }
-            Some("gc") => Ok(Command::RunsGc {
-                keep: get("--keep")
-                    .ok_or_else(|| bad("runs gc requires --keep N"))?
-                    .parse()
-                    .map_err(|_| bad("--keep"))?,
-                baseline: get("--baseline"),
-            }),
-            _ => Err(bad("runs takes a subcommand: ls, trend, diff-eval or gc")),
-        },
-        Some("reindex") => Ok(Command::Reindex),
-        Some("alerts") => Ok(Command::Alerts {
-            rules: get("--rules"),
-            gate: has("--gate"),
-            json: has("--json"),
-        }),
-        Some("watch") => {
-            let pos = positionals();
-            match pos.as_slice() {
-                [run] => Ok(Command::Watch {
-                    run: run.clone(),
-                    interval_ms: get("--interval-ms")
-                        .map_or(Ok(200), |v| v.parse().map_err(|_| bad("--interval-ms")))?,
-                    timeout_s: get("--timeout-s")
-                        .map(|v| v.parse().map_err(|_| bad("--timeout-s")))
-                        .transpose()?,
-                    wait_s: get("--wait-s")
-                        .map_or(Ok(10), |v| v.parse().map_err(|_| bad("--wait-s")))?,
-                }),
-                _ => Err(bad("watch takes exactly one <run-id|run-dir>")),
-            }
+            "runs ls" => Command::RunsLs {
+                status: m.opt(&STATUS)?,
+                command: m.opt(&COMMAND)?,
+                dataset: m.opt(&DATASET)?,
+                last: m.opt(&LAST)?,
+                json: m.has(&LS_JSON),
+            },
+            "runs trend" => Command::RunsTrend {
+                metrics: operand()?,
+                slice: m.opt(&SLICE)?,
+                last: m.opt(&LAST)?,
+                gate: m.has(&DRIFT_GATE),
+                tol_pct: m.opt(&TREND_TOL)?,
+                drift_runs: m.opt(&DRIFT_RUNS)?,
+                out: m.opt(&TREND_OUT)?,
+            },
+            "runs diff-eval" => Command::RunsDiffEval {
+                a: operand()?,
+                b: operand()?,
+                gate: m.has(&DIFF_GATE),
+                tol_pct: m.get(&DIFF_TOL)?,
+            },
+            "runs gc" => Command::RunsGc {
+                keep: m.get(&KEEP)?,
+                baseline: m.opt(&GC_BASELINE)?,
+            },
+            "reindex" => Command::Reindex,
+            "alerts" => Command::Alerts {
+                rules: m.opt(&RULES)?,
+                gate: m.has(&ALERTS_GATE),
+                json: m.has(&ALERTS_JSON),
+            },
+            "watch" => Command::Watch {
+                run: operand()?,
+                interval_ms: m.get(&INTERVAL_MS)?,
+                timeout_s: m.opt(&TIMEOUT_S)?,
+                wait_s: m.get(&WAIT_S)?,
+            },
+            "dash" => Command::Dash {
+                addr: m.get(&ADDR)?,
+            },
+            "help" => operand().ok().map_or(Command::Help, Command::HelpFor),
+            other => unreachable!("command {other:?} has a table entry but no builder"),
+        };
+        if let Some(extra) = operands.next() {
+            return Err(bad(format!("{}: unexpected operand {extra:?}", spec.name)));
         }
-        Some("dash") => Ok(Command::Dash {
-            addr: get("--addr").unwrap_or_else(|| "127.0.0.1:9091".into()),
-        }),
-        Some("help") => Ok(match args.get(1) {
-            Some(cmd) => Command::HelpFor(cmd.clone()),
-            None => Command::Help,
-        }),
-        None => Ok(Command::Help),
-        Some(other) => Err(bad(format!("unknown command {other:?}\n{}", usage()))),
+        Ok(cmd)
     }
 }
 
@@ -1404,7 +1406,7 @@ fn run(cmd: Command, opts: &GlobalOpts, ledger: &mut Option<RunLedger>) -> Resul
                 &run_a.records,
                 &run_b.manifest.run_id,
                 &run_b.records,
-                tol_pct.unwrap_or(10.0),
+                tol_pct,
             );
             print!("{}", render_diff_eval(&d));
             if gate_on && !d.gate_passed() {
@@ -1566,11 +1568,7 @@ fn run(cmd: Command, opts: &GlobalOpts, ledger: &mut Option<RunLedger>) -> Resul
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = split_global_args(&raw).and_then(|(args, opts)| {
-        let cmd = parse(&args)?;
-        Ok((cmd, opts))
-    });
-    let (cmd, opts) = match parsed {
+    let (cmd, opts) = match parse_args(&raw) {
         Ok(v) => v,
         Err(err) => {
             eprintln!("error: {err}");
@@ -1660,6 +1658,15 @@ mod tests {
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn parse(args: &[String]) -> Result<Command> {
+        parse_args(args).map(|(cmd, _)| cmd)
+    }
+
+    /// The invocation `args` scan to.
+    fn scanned(args: &[&str]) -> Invocation {
+        scan(&strs(args)).unwrap().0
     }
 
     #[test]
@@ -1932,7 +1939,7 @@ mod tests {
                 a: "run-a".into(),
                 b: "run-b".into(),
                 gate: true,
-                tol_pct: Some(5.0),
+                tol_pct: 5.0,
             }
         );
         assert!(!cmd.records_run());
@@ -2005,14 +2012,14 @@ mod tests {
 
     #[test]
     fn global_flags_accept_equals_form() {
-        let (rest, t) = split_global_args(&strs(&[
+        let (rest, t) = scan(&strs(&[
             "runs",
             "ls",
             "--runs-root=elsewhere",
             "--metrics-out=trace.jsonl",
         ]))
         .unwrap();
-        assert_eq!(rest, strs(&["runs", "ls"]));
+        assert_eq!(rest, scanned(&["runs", "ls"]));
         assert_eq!(t.runs_root, "elsewhere");
         assert_eq!(t.metrics_out.as_deref(), Some("trace.jsonl"));
     }
@@ -2033,45 +2040,46 @@ mod tests {
 
     #[test]
     fn global_flags_are_stripped_anywhere() {
-        let (rest, t) = split_global_args(&strs(&[
+        let (rest, t) = scan(&strs(&[
             "--trace", "train", "--data", "d.lgd", "--metrics-out", "run.jsonl", "--no-run",
             "--runs-root", "elsewhere", "--out", "m.lgm",
         ]))
         .unwrap();
-        assert_eq!(rest, strs(&["train", "--data", "d.lgd", "--out", "m.lgm"]));
+        let stripped = scanned(&["train", "--data", "d.lgd", "--out", "m.lgm"]);
+        assert_eq!(rest, stripped);
         assert!(t.trace);
         assert!(t.no_run);
         assert_eq!(t.metrics_out.as_deref(), Some("run.jsonl"));
         assert_eq!(t.runs_root, "elsewhere");
 
-        let (rest, t) = split_global_args(&strs(&["eval", "--data", "d", "--model", "m"]))
-            .unwrap();
-        assert_eq!(rest.len(), 5);
-        assert_eq!(t, GlobalOpts::default());
+        let (rest, t) = scan(&strs(&["eval", "--data", "d", "--model", "m"])).unwrap();
+        // All five words stay with the command: its name and two flag/value pairs.
+        assert_eq!(1 + rest.operands.len() + 2 * rest.flags.0.len(), 5);
+        assert_eq!(t, scan(&[]).unwrap().1);
         assert_eq!(t.runs_root, "runs");
     }
 
     #[test]
     fn trailing_value_flags_without_value_error() {
-        assert!(split_global_args(&strs(&["eval", "--metrics-out"])).is_err());
-        assert!(split_global_args(&strs(&["eval", "--runs-root"])).is_err());
-        assert!(split_global_args(&strs(&["eval", "--threads"])).is_err());
+        assert!(scan(&strs(&["eval", "--metrics-out"])).is_err());
+        assert!(scan(&strs(&["eval", "--runs-root"])).is_err());
+        assert!(scan(&strs(&["eval", "--threads"])).is_err());
     }
 
     #[test]
     fn global_threads_flag_parses() {
-        let (rest, t) = split_global_args(&strs(&[
+        let (rest, t) = scan(&strs(&[
             "eval", "--threads", "4", "--data", "d", "--model", "m",
         ]))
         .unwrap();
-        assert_eq!(rest, strs(&["eval", "--data", "d", "--model", "m"]));
+        assert_eq!(rest, scanned(&["eval", "--data", "d", "--model", "m"]));
         assert_eq!(t.threads, Some(4));
-        let (_, t) = split_global_args(&strs(&["eval", "--threads=2"])).unwrap();
+        let (_, t) = scan(&strs(&["eval", "--threads=2"])).unwrap();
         assert_eq!(t.threads, Some(2));
         // 0 = auto-detect; accepted, not an error.
-        let (_, t) = split_global_args(&strs(&["eval", "--threads", "0"])).unwrap();
+        let (_, t) = scan(&strs(&["eval", "--threads", "0"])).unwrap();
         assert_eq!(t.threads, Some(0));
-        assert!(split_global_args(&strs(&["eval", "--threads", "x"])).is_err());
+        assert!(scan(&strs(&["eval", "--threads", "x"])).is_err());
     }
 
     #[test]
@@ -2103,5 +2111,45 @@ mod tests {
         }
         // Unknown command help falls back to usage.
         assert!(command_help("nope").contains("usage:"));
+    }
+
+    #[test]
+    fn help_lists_every_flag_with_its_default() {
+        for spec in COMMANDS {
+            let word = spec.name.split(' ').next().unwrap();
+            let help = command_help(word);
+            for f in spec.flags.iter().chain(GLOBAL_FLAGS) {
+                let label = format!("  {} {}", f.name, f.value);
+                let mut rows = help.lines().filter(|l| l.starts_with(label.trim_end()));
+                let row = rows.find(|l| l.contains(f.help));
+                let row = row.unwrap_or_else(|| panic!("help {word} lacks {}", f.name));
+                let note = match f.absent {
+                    DefaultsTo(v) | FallsBackTo(v) => format!(" (default {v})"),
+                    Required => " (required)".to_string(),
+                    Unset => String::new(),
+                };
+                assert!(row.ends_with(&format!("{}{note}", f.help)), "{row}");
+            }
+            if !is_family(spec) {
+                assert!(usage().contains(&synopsis(spec)), "{}", spec.name);
+            }
+        }
+        assert!(command_help("watch").contains("--wait-s N"));
+        assert!(command_help("runs").contains("--drift-runs N"));
+    }
+
+    #[test]
+    fn table_defaults_parse_as_their_fields() {
+        // Every command builds from the table's defaults, given its
+        // operands and required flags.
+        for spec in COMMANDS.iter().filter(|s| !is_family(s)) {
+            let mut args: Vec<&str> = spec.name.split(' ').collect();
+            let operands = spec.operands.split(' ').filter(|o| o.contains('<'));
+            args.extend(operands.map(|_| "r"));
+            for f in spec.flags.iter().filter(|f| f.absent == Required) {
+                args.extend([f.name, "1"]);
+            }
+            assert!(parse(&strs(&args)).is_ok(), "{args:?}");
+        }
     }
 }

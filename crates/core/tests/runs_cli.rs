@@ -2,7 +2,8 @@
 //! finalize and rebuilt by `reindex`, the `runs ls`/`trend`/`gc` views
 //! (all honoring `--runs-root`, space and `=` spellings alike), and the
 //! `watch` live tailer following a real background training process and
-//! standing in for its exit code.
+//! standing in for its exit code. Also: malformed flags fail before any
+//! work starts.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -436,4 +437,81 @@ fn watch_times_out_on_a_missing_run() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("watch"), "stderr:\n{stderr}");
+}
+
+#[test]
+fn malformed_flags_fail_before_any_work() {
+    let dir = scratch("flags");
+    let runs = dir.join("runs");
+    let data = dir.join("x.lgd");
+    // A misspelled flag: no dataset and no run directory may appear.
+    let out = cli()
+        .arg("--runs-root")
+        .arg(&runs)
+        .args(["generate", "--clips", "1", "--cilps", "9", "--out"])
+        .arg(&data)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "stderr:\n{stderr}");
+    assert!(stderr.contains("--cilps"), "stderr:\n{stderr}");
+    assert!(!data.exists(), "dataset written despite the bad flag");
+    assert!(!runs.exists(), "run directory created despite the bad flag");
+
+    // A trailing value flag with no value.
+    let out = cli()
+        .args(["--no-run", "train", "--data", "d", "--out", "m", "--epochs"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "stderr:\n{stderr}");
+    assert!(stderr.contains("--epochs"), "stderr:\n{stderr}");
+
+    // Unknown, valueless, `=` on a boolean, and repeated flags all exit 1
+    // naming the flag and the command.
+    for (args, flag, command) in [
+        (&["runs", "ls", "--jsno"][..], "--jsno", "runs ls"),
+        (
+            &["train", "--data", "d", "--epochs", "--out", "m"],
+            "--epochs",
+            "train",
+        ),
+        (
+            &["runs", "trend", "m", "--gate=base.json"],
+            "--gate",
+            "runs trend",
+        ),
+        (
+            &["triage", "r", "--worst", "2", "--worst=3"],
+            "--worst",
+            "triage",
+        ),
+        (
+            &["reindex", "--runs-root", "a", "--runs-root=b"],
+            "--runs-root",
+            "reindex",
+        ),
+        (&["--trace=yes", "reindex"], "--trace", "lithogan-cli"),
+    ] {
+        let out = cli()
+            .arg("--no-run")
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains(command),
+            "{args:?}: {stderr}"
+        );
+    }
+    // `--gate` takes a value in `compare` only, `=` spelling included.
+    let out = cli()
+        .args(["compare", "a", "--gate=base.json"])
+        .output()
+        .unwrap();
+    assert!(String::from_utf8_lossy(&out.stderr).contains("run \"a\""));
+    let _ = fs::remove_dir_all(&dir);
 }

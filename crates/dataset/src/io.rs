@@ -5,7 +5,7 @@
 //! 982-clip dataset at 256 × 256 stays around 200 MB. Process presets are
 //! stored by name (`"N10"`/`"N7"`) and reconstructed on load.
 
-use std::io::{Read, Write};
+use std::io::{Read, Seek, Write};
 use std::path::Path;
 
 use litho_layout::{Clip, ClipFamily, Rect};
@@ -137,6 +137,19 @@ fn unpack_bits(bytes: &[u8], dims: &[usize]) -> Result<Tensor> {
     Tensor::from_vec(data, dims)
 }
 
+/// Rejects a size read from the file (`None` when computing it
+/// overflowed) that exceeds the bytes left after the reader's position,
+/// before anything is allocated from it.
+fn fits_in_file<R: Seek>(r: &mut R, file_len: u64, what: &str, bytes: Option<u64>) -> Result<()> {
+    let left = file_len.saturating_sub(r.stream_position().map_err(io_err)?);
+    match bytes {
+        Some(b) if b <= left => Ok(()),
+        _ => Err(TensorError::InvalidArgument(format!(
+            "dataset: {what} needs more than the {left} bytes left in the file"
+        ))),
+    }
+}
+
 /// Writes a dataset to `path`.
 ///
 /// # Errors
@@ -196,6 +209,7 @@ pub fn save_dataset<P: AsRef<Path>>(dataset: &Dataset, path: P) -> Result<()> {
 /// an unknown process name.
 pub fn load_dataset<P: AsRef<Path>>(path: P) -> Result<Dataset> {
     let file = std::fs::File::open(path).map_err(io_err)?;
+    let len = file.metadata().map_err(io_err)?.len();
     let mut r = std::io::BufReader::new(file);
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic).map_err(io_err)?;
@@ -203,6 +217,7 @@ pub fn load_dataset<P: AsRef<Path>>(path: P) -> Result<Dataset> {
         return Err(TensorError::InvalidArgument("not a LGD3 dataset".into()));
     }
     let name_len = read_u32(&mut r)? as usize;
+    fits_in_file(&mut r, len, "process name", Some(name_len as u64))?;
     let mut name = vec![0u8; name_len];
     r.read_exact(&mut name).map_err(io_err)?;
     let process = match name.as_slice() {
@@ -235,6 +250,12 @@ pub fn load_dataset<P: AsRef<Path>>(path: P) -> Result<Dataset> {
 
     let count = read_u32(&mut r)? as usize;
     let s = image_size;
+    // The smallest sample on disk: a clip with no neighbours or SRAFs
+    // (48 bytes), family and centre (9), the mask and two packed goldens.
+    let mask_len = s.checked_mul(s).and_then(|p| p.checked_mul(3));
+    let per_sample = mask_len.and_then(|m| m.checked_add(57 + 2 * (m / 3).div_ceil(8)));
+    let need = per_sample.and_then(|b| b.checked_mul(count));
+    fits_in_file(&mut r, len, "sample data", need.map(|b| b as u64))?;
     let mut samples = Vec::with_capacity(count);
     for _ in 0..count {
         let clip = read_clip(&mut r)?;
@@ -323,6 +344,21 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage.lgd");
         std::fs::write(&path, b"not a dataset").unwrap();
+        assert!(load_dataset(&path).is_err());
+
+        // A 60-byte header (N10, one clip of 60000 px, 2^31 - 1 samples)
+        // whose sizes, trusted, would allocate ~500 GB.
+        let mut bytes = b"LGD3\x03\0\0\0N10".to_vec();
+        for v in [1u32, 60_000, 64, 0, 0, 0, 0, 0, 0, 0, 0, 0x7fff_ffff] {
+            bytes.extend(v.to_le_bytes());
+        }
+        bytes.push(0);
+        assert_eq!(bytes.len(), 60);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(load_dataset(&path).is_err());
+        // So would a process name longer than the file.
+        bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
         assert!(load_dataset(&path).is_err());
     }
 

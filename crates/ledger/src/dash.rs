@@ -117,19 +117,13 @@ pub struct DashSelfMetrics {
     pub latency: Option<LatencySummary>,
 }
 
-/// Escapes a label value per the exposition format: backslash, quote
-/// and newline.
-fn escape_label(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
+/// Escapes a Prometheus label value per the exposition format:
+/// backslash, quote and newline.
+pub fn escape_label(value: &str) -> String {
+    value
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// `aborted(nan-poisoned)` → `aborted`, so the status label set stays
@@ -459,6 +453,7 @@ pub fn fleet_html(
 ) -> String {
     let mut rows = String::new();
     for (id, snap) in live {
+        let id = escape_html(id);
         let _ = write!(
             rows,
             "<tr><td><code>{id}</code></td><td>{}</td><td>running</td>\
@@ -503,8 +498,13 @@ pub fn fleet_html(
     )
 }
 
-fn escape_html(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+/// Escapes text for HTML element content and double-quoted attribute
+/// values.
+pub fn escape_html(s: &str) -> String {
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
+        .replace('"', "&quot;")
 }
 
 #[cfg(test)]
@@ -657,7 +657,12 @@ mod tests {
     fn label_values_are_escaped() {
         let records = vec![rec("r\"1\"", "tr\\ain", 1, "ok", &[("ede_mean_nm", 1.0)])];
         let html = fleet_html(&records, &[], "");
-        assert!(html.contains("<code>r\"1\"</code>"));
+        assert!(html.contains("<code>r&quot;1&quot;</code>"));
+        // A quote in the run id or command must not end an href early.
+        let quoted = vec![rec("q\"id", "ev\"al", 1, "ok", &[])];
+        let html = fleet_html(&quoted, &[], "");
+        assert!(html.contains("href=\"/api/runs/q&quot;id\""), "{html}");
+        assert!(html.contains("<td>ev&quot;al</td>"), "{html}");
         let bannered = fleet_html(&records, &[], "<div class=\"alerts\">1 firing</div>");
         assert!(bannered.contains("<div class=\"alerts\">1 firing</div>"));
         let text = prometheus_exposition(&records, &[], None, &TrendConfig::default());

@@ -16,6 +16,8 @@ use litho_health::{
     HealthRecord, Pass, Thresholds,
 };
 
+use crate::dash::escape_html;
+
 /// Aggregate of one direction (fwd or bwd) of one layer's sampled stats.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LayerAgg {
@@ -344,20 +346,6 @@ pub fn render_health(run_id: &str, h: &HealthAnalysis) -> String {
     out
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One sparkline row: label, series, y range annotation.
 #[allow(clippy::too_many_arguments)]
 fn sparkline(out: &mut String, x0: f64, y0: f64, w: f64, h: f64, label: &str, color: &str, values: &[f64]) {
@@ -366,7 +354,7 @@ fn sparkline(out: &mut String, x0: f64, y0: f64, w: f64, h: f64, label: &str, co
         "<text x=\"{:.1}\" y=\"{:.1}\" class=\"axis\" text-anchor=\"end\">{}</text>",
         x0 - 8.0,
         y0 + h * 0.65,
-        esc(label)
+        escape_html(label)
     );
     let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
     if finite.is_empty() {
@@ -496,8 +484,8 @@ pub fn health_svg(run_id: &str, h: &HealthAnalysis) -> String {
     let _ = writeln!(
         out,
         "<text x=\"16\" y=\"24\" class=\"head\">health — {} ({})</text>",
-        esc(run_id),
-        esc(&diag)
+        escape_html(run_id),
+        escape_html(&diag)
     );
     if rows.is_empty() {
         let _ = writeln!(

@@ -58,7 +58,7 @@ pub mod watch;
 pub use compare::{gate, render_compare, run_metrics, Baseline, GateCheck, GateOutcome};
 pub use diff::{diff_eval, render_diff_eval, DiffEntry, DiffEval};
 pub use dash::{
-    fleet_html, prometheus_exposition, DashSelfMetrics, LatencySummary, LiveTails,
+    escape_html, escape_label, fleet_html, prometheus_exposition, DashSelfMetrics, LatencySummary, LiveTails,
     DASH_TREND_METRICS,
 };
 pub use health::{health_svg, load_health, render_health, HealthAnalysis, LayerHealth, UpdateHealth};

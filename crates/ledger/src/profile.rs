@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 
 use litho_tensor::profile::{machine_balance, RooflineBound};
 
+use crate::dash::escape_html;
 use crate::report::fmt_us;
 use crate::trace::{SpanAgg, TraceAnalysis};
 
@@ -29,20 +30,6 @@ const ROW_H: f64 = 18.0;
 const MARGIN: f64 = 12.0;
 /// Frames narrower than this render but carry no label.
 const MIN_LABEL_W: f64 = 40.0;
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// One positioned flamegraph frame (exposed for tests).
 #[derive(Debug, Clone)]
@@ -147,7 +134,7 @@ pub fn flamegraph_svg(analysis: &TraceAnalysis) -> String {
     let _ = writeln!(
         out,
         "<text x=\"{MARGIN}\" y=\"22\" class=\"head\">flamegraph — {}</text>",
-        esc(run)
+        escape_html(run)
     );
     let _ = writeln!(
         out,
@@ -180,7 +167,7 @@ pub fn flamegraph_svg(analysis: &TraceAnalysis) -> String {
             out,
             "<g><title>{}</title><rect x=\"{x:.2}\" y=\"{y:.1}\" width=\"{w:.2}\" \
              height=\"{ROW_H:.1}\" rx=\"2\" fill=\"{}\" stroke=\"#fafafa\"/></g>",
-            esc(&title),
+            escape_html(&title),
             frame_color(f.agg, balance)
         );
         if w >= MIN_LABEL_W {
@@ -192,7 +179,7 @@ pub fn flamegraph_svg(analysis: &TraceAnalysis) -> String {
                 "<text x=\"{:.2}\" y=\"{:.1}\" class=\"frame\">{}</text>",
                 x + 3.0,
                 y + ROW_H * 0.72,
-                esc(&shown)
+                escape_html(&shown)
             );
         }
     }

@@ -5,26 +5,13 @@
 
 use std::fmt::Write as _;
 
+use crate::dash::escape_html;
 use crate::report::RunData;
 use crate::trace::SpanAgg;
 
 const WIDTH: f64 = 960.0;
 const PANEL_H: f64 = 240.0;
 const MARGIN: f64 = 48.0;
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 struct Panel<'a> {
     out: &'a mut String,
@@ -46,7 +33,7 @@ impl Panel<'_> {
             "<text x=\"{:.1}\" y=\"{:.1}\" class=\"title\">{}</text>",
             self.x0 + 8.0,
             self.y0 + 18.0,
-            esc(title)
+            escape_html(title)
         );
     }
 
@@ -56,7 +43,7 @@ impl Panel<'_> {
             "<text x=\"{:.1}\" y=\"{:.1}\" class=\"note\">{}</text>",
             self.x0 + 8.0,
             self.y0 + self.h / 2.0,
-            esc(text)
+            escape_html(text)
         );
     }
 }
@@ -212,7 +199,7 @@ fn latency_panel(panel: &mut Panel, run: &RunData) {
              <text x=\"{:.1}\" y=\"{:.1}\" class=\"axis\">{}</text>",
             px + label_w - 6.0,
             y + row_h * 0.7,
-            esc(&s.path),
+            escape_html(&s.path),
             px + label_w,
             y + row_h * 0.15,
             w.max(1.0),
@@ -252,10 +239,10 @@ pub fn dashboard_svg(run: &RunData) -> String {
     let _ = writeln!(
         out,
         "<text x=\"16\" y=\"26\" class=\"head\">{} — {} ({}, wall {})</text>",
-        esc(&m.run_id),
-        esc(&m.command),
-        esc(&m.status),
-        esc(&wall)
+        escape_html(&m.run_id),
+        escape_html(&m.command),
+        escape_html(&m.status),
+        escape_html(&wall)
     );
     for (i, draw) in [loss_panel, ede_panel, latency_panel].iter().enumerate() {
         let mut panel = Panel {
@@ -277,6 +264,6 @@ mod tests {
 
     #[test]
     fn escapes_markup() {
-        assert_eq!(esc("a<b>&\"c\""), "a&lt;b&gt;&amp;&quot;c&quot;");
+        assert_eq!(escape_html("a<b>&\"c\""), "a&lt;b&gt;&amp;&quot;c&quot;");
     }
 }

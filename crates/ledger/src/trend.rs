@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 
 use litho_health::Streak;
 
+use crate::dash::escape_html;
 use crate::index::IndexRecord;
 
 /// Metrics where larger values are better (accuracies/IoU); everything
@@ -321,20 +322,6 @@ pub fn render_trend(t: &Trend) -> String {
     out
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 const SVG_W: f64 = 960.0;
 const PANEL_H: f64 = 250.0;
 const MARGIN_L: f64 = 64.0;
@@ -354,7 +341,7 @@ fn panel_svg(out: &mut String, t: &Trend, y0: f64) {
         out,
         "<text x=\"16\" y=\"{:.1}\" class=\"title\">{} across runs</text>",
         y0 + 20.0,
-        esc(&t.metric)
+        escape_html(&t.metric)
     );
     let recorded: Vec<(usize, f64)> = t
         .points
@@ -416,7 +403,7 @@ fn panel_svg(out: &mut String, t: &Trend, y0: f64) {
             "<text x=\"{:.1}\" y=\"{:.1}\" class=\"note\" text-anchor=\"end\">median {}</text>",
             px + pw - 4.0,
             yr - 4.0,
-            esc(&fmt_value(reference))
+            escape_html(&fmt_value(reference))
         );
     }
     // Drift region shading.
@@ -438,14 +425,14 @@ fn panel_svg(out: &mut String, t: &Trend, y0: f64) {
         "<text x=\"{:.1}\" y=\"{:.1}\" class=\"note\" text-anchor=\"end\">{}</text>",
         px - 6.0,
         py + 10.0,
-        esc(&fmt_value(hi))
+        escape_html(&fmt_value(hi))
     );
     let _ = writeln!(
         out,
         "<text x=\"{:.1}\" y=\"{:.1}\" class=\"note\" text-anchor=\"end\">{}</text>",
         px - 6.0,
         py + ph,
-        esc(&fmt_value(lo))
+        escape_html(&fmt_value(lo))
     );
     // The series polyline over recorded points.
     if recorded.len() > 1 {
@@ -480,14 +467,14 @@ fn panel_svg(out: &mut String, t: &Trend, y0: f64) {
             "<text x=\"{:.1}\" y=\"{:.1}\" class=\"note\" text-anchor=\"middle\">{}</text>",
             x_of(i),
             py + ph + 14.0,
-            esc(&fmt_unix(p.started_unix_s))
+            escape_html(&fmt_unix(p.started_unix_s))
         );
         let _ = writeln!(
             out,
             "<text x=\"{:.1}\" y=\"{:.1}\" class=\"tiny\" text-anchor=\"middle\">{}</text>",
             x_of(i),
             py + ph + 26.0,
-            esc(&p.run_id)
+            escape_html(&p.run_id)
         );
     }
 }

@@ -14,6 +14,8 @@ use std::fmt::Write as _;
 
 use litho_metrics::SampleRecord;
 
+use crate::dash::escape_html;
+
 const PANEL_W: f64 = 230.0;
 const PANEL_H: f64 = 230.0;
 const COLS: usize = 4;
@@ -22,20 +24,6 @@ const PAD: f64 = 10.0;
 const GOLD_SIDE: f64 = 90.0;
 /// Cap on the rendered per-edge displacement, px.
 const MAX_DISP: f64 = 28.0;
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// References to the worst `k` records: contour-less records first (the
 /// model printed nothing where the golden has a contact), then by EDE
@@ -118,7 +106,7 @@ fn panel(out: &mut String, x0: f64, y0: f64, rank: usize, r: &SampleRecord, nm_p
         "<text x=\"{:.1}\" y=\"{:.1}\" class=\"title\">{}</text>",
         x0 + 8.0,
         y0 + 16.0,
-        esc(&title)
+        escape_html(&title)
     );
     let sub = match (&r.clip_fingerprint, r.ede_mean_nm) {
         (Some(fp), Some(e)) => format!("{fp}  ede {e:.2} nm"),
@@ -131,7 +119,7 @@ fn panel(out: &mut String, x0: f64, y0: f64, rank: usize, r: &SampleRecord, nm_p
         "<text x=\"{:.1}\" y=\"{:.1}\" class=\"note\">{}</text>",
         x0 + 8.0,
         y0 + 30.0,
-        esc(&sub)
+        escape_html(&sub)
     );
 
     let cx = x0 + PANEL_W / 2.0;
@@ -232,7 +220,7 @@ pub fn triage_svg(run_id: &str, records: &[SampleRecord], k: usize, nm_per_px: f
     let _ = writeln!(
         out,
         "<text x=\"{PAD:.1}\" y=\"20\" class=\"title\">triage {} — worst {} of {} samples</text>",
-        esc(run_id),
+        escape_html(run_id),
         worst.len(),
         records.len()
     );

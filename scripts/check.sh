@@ -23,10 +23,25 @@ cargo test --offline --manifest-path lithobench/Cargo.toml
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> run ledger + metric regression gate"
 cli=target/release/lithogan_cli
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+
+echo "==> CLI contract"
+# Help renders for every command in the usage, and a misspelled flag is
+# an error rather than silently ignored. Every gate below passes only
+# declared flags, so each of them checks the flag table too.
+cmds=$("$cli" help | sed -n 's/^  lithogan-cli \([a-z-]*\).*/\1/p' | sort -u)
+test "$(echo "$cmds" | wc -l)" -ge 15
+for c in $cmds; do
+  "$cli" help "$c" > /dev/null
+done
+if "$cli" --no-run generate --cilps 9 --out "$work/x.lgd"; then
+  echo "generate accepted the unknown flag --cilps"; exit 1
+fi
+test ! -e "$work/x.lgd"
+
+echo "==> run ledger + metric regression gate"
 "$cli" --runs-root "$work/runs" generate --clips 12 --size 32 --out "$work/data.lgd"
 "$cli" --runs-root "$work/runs" train --data "$work/data.lgd" --epochs 2 --seed 1 --health --out "$work/model.lgm"
 run=$(ls "$work/runs" | grep '^train-')
