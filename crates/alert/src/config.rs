@@ -27,7 +27,6 @@
 //! ```
 
 use litho_health::DiagnosisKind;
-use litho_ledger::TrendConfig;
 
 /// Threshold direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,6 +220,15 @@ impl RawRule {
             None => Ok(None),
         }
     }
+
+    /// `drift_runs`, at least 1: a zero-run streak never fires, which
+    /// would silently disarm the rule.
+    fn take_drift_runs(&mut self) -> Result<Option<usize>, String> {
+        match self.take_count("drift_runs")? {
+            Some(0) => Err(format!("rule at line {}: `drift_runs` must be at least 1", self.line)),
+            n => Ok(n.map(|n| n as usize)),
+        }
+    }
 }
 
 /// Strips a trailing `#` comment, respecting quoted strings.
@@ -377,7 +385,7 @@ fn finish_rule(raw: &mut RawRule) -> Result<AlertRule, String> {
                 .take_str("metric")?
                 .ok_or_else(|| format!("rule at line {at}: drift rule needs `metric`"))?,
             tol_pct: raw.take_num("tol_pct")?,
-            drift_runs: raw.take_count("drift_runs")?.map(|n| n as usize),
+            drift_runs: raw.take_drift_runs()?,
         },
         "slice_drift" => RuleKind::SliceDrift {
             metric: raw
@@ -385,7 +393,7 @@ fn finish_rule(raw: &mut RawRule) -> Result<AlertRule, String> {
                 .ok_or_else(|| format!("rule at line {at}: slice_drift rule needs `metric`"))?,
             family: raw.take_str("family")?,
             tol_pct: raw.take_num("tol_pct")?,
-            drift_runs: raw.take_count("drift_runs")?.map(|n| n as usize),
+            drift_runs: raw.take_drift_runs()?,
         },
         "health" => {
             let diagnoses = match raw.take_str("diagnoses")? {
@@ -418,18 +426,6 @@ fn finish_rule(raw: &mut RawRule) -> Result<AlertRule, String> {
         for_evals,
         kind,
     })
-}
-
-/// The drift-detector tuning a drift rule resolves to.
-pub(crate) fn drift_config(tol_pct: Option<f64>, drift_runs: Option<usize>) -> TrendConfig {
-    let mut cfg = TrendConfig::default();
-    if let Some(t) = tol_pct {
-        cfg.tol_pct = t;
-    }
-    if let Some(n) = drift_runs {
-        cfg.drift_runs = n;
-    }
-    cfg
 }
 
 #[cfg(test)]
@@ -534,6 +530,10 @@ after_s = 600
             ("[[rule]]\nname = \"x\"\nkind = \"health\"\nbogus = 1\n", "unknown key `bogus`"),
             ("[[rule]]\nname = \"x\"\nkind = \"stale\"\nafter_s = \"soon\"\n", "must be a number"),
             ("[[rule]]\nname = \"x\"\nkind = \"stale\"\nafter_s = 1.5\n", "non-negative integer"),
+            (
+                "\n[[rule]]\nname = \"x\"\nkind = \"slice_drift\"\nmetric = \"m\"\ndrift_runs = 0\n",
+                "rule at line 2: `drift_runs` must be at least 1",
+            ),
             ("[[rule]]\nname = \"x\"\nkind = \"health\"\nname = \"y\"\n", "duplicate key"),
             ("[table]\n", "unsupported section"),
             ("[[rule]]\nname = x\nkind = \"health\"\n", "quote strings"),

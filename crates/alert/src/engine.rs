@@ -24,9 +24,10 @@ use std::time::UNIX_EPOCH;
 
 use litho_ledger::{
     load_manifest, scan_run_dirs, slice_metric_key, split_slice_key, trend, IndexRecord,
+    TrendConfig,
 };
 
-use crate::config::{drift_config, AlertRule, Comparison, RuleKind};
+use crate::config::{AlertRule, Comparison, RuleKind};
 use crate::record::{fingerprint, AlertRecord, AlertState, ALERTS_SCHEMA};
 
 /// Everything one evaluation reads.
@@ -205,21 +206,8 @@ pub fn evaluate_rule(rule: &AlertRule, ctx: &EngineContext) -> Vec<Incident> {
             drift_runs,
         } => {
             let recs: Vec<IndexRecord> = window(rule, ctx.records).into_iter().cloned().collect();
-            let t = trend(&recs, metric, None, &drift_config(*tol_pct, *drift_runs));
-            let Some(drift) = t.drift else {
-                return Vec::new();
-            };
-            vec![Incident {
-                subject: format!("fleet/{metric}"),
-                reason: format!(
-                    "{metric} drifting for {} runs since {} (worst {}, median {})",
-                    drift.runs,
-                    drift.start_run_id,
-                    fmt_val(drift.worst),
-                    t.reference.map(fmt_val).unwrap_or_else(|| "-".into()),
-                ),
-                value: Some(drift.worst),
-            }]
+            let cfg = TrendConfig::new(*tol_pct, *drift_runs);
+            drift_incident(&recs, metric, None, &cfg).into_iter().collect()
         }
         RuleKind::SliceDrift {
             metric,
@@ -245,27 +233,11 @@ pub fn evaluate_rule(rule: &AlertRule, ctx: &EngineContext) -> Vec<Incident> {
                     fams
                 }
             };
-            let cfg = drift_config(*tol_pct, *drift_runs);
-            let mut out = Vec::new();
-            for fam in families {
-                let key = slice_metric_key(metric, &fam);
-                let t = trend(&recs, &key, None, &cfg);
-                let Some(drift) = t.drift else {
-                    continue;
-                };
-                out.push(Incident {
-                    subject: format!("fleet/{metric}/family={fam}"),
-                    reason: format!(
-                        "{metric}[{fam}] drifting for {} runs since {} (worst {}, median {})",
-                        drift.runs,
-                        drift.start_run_id,
-                        fmt_val(drift.worst),
-                        t.reference.map(fmt_val).unwrap_or_else(|| "-".into()),
-                    ),
-                    value: Some(drift.worst),
-                });
-            }
-            out
+            let cfg = TrendConfig::new(*tol_pct, *drift_runs);
+            families
+                .iter()
+                .filter_map(|fam| drift_incident(&recs, metric, Some(fam.as_str()), &cfg))
+                .collect()
         }
         RuleKind::Health { diagnoses } => {
             let recs = window(rule, ctx.records);
@@ -339,6 +311,37 @@ fn last_activity_unix_s(run_dir: &Path) -> Option<u64> {
         .filter_map(|t| t.duration_since(UNIX_EPOCH).ok())
         .map(|d| d.as_secs())
         .max()
+}
+
+/// The incident for a confirmed drift of `metric` (or of its `family`
+/// slice) over `recs`, if any.
+fn drift_incident(
+    recs: &[IndexRecord],
+    metric: &str,
+    family: Option<&str>,
+    cfg: &TrendConfig,
+) -> Option<Incident> {
+    let (key, subject, label) = match family {
+        Some(fam) => (
+            slice_metric_key(metric, fam),
+            format!("fleet/{metric}/family={fam}"),
+            format!("{metric}[{fam}]"),
+        ),
+        None => (metric.to_string(), format!("fleet/{metric}"), metric.to_string()),
+    };
+    let t = trend(recs, &key, None, cfg);
+    let drift = t.drift?;
+    Some(Incident {
+        subject,
+        reason: format!(
+            "{label} drifting for {} runs since {} (worst {}, median {})",
+            drift.runs,
+            drift.start_run_id,
+            fmt_val(drift.worst),
+            t.reference.map(fmt_val).unwrap_or_else(|| "-".into()),
+        ),
+        value: Some(drift.worst),
+    })
 }
 
 fn fmt_val(v: f64) -> String {

@@ -36,7 +36,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use litho_ledger::{Baseline, GateCheck, GateOutcome};
+use litho_ledger::verdict::{higher_is_better, median};
+use litho_ledger::{Baseline, GateOutcome};
 use lithogan_bench::microbench::{
     fmt_duration, AI_SUFFIX, CALIBRATION_METRIC, GFLOPS_SUFFIX, UTIL_SUFFIX,
 };
@@ -126,14 +127,8 @@ fn merge_median(passes: &[Baseline]) -> Baseline {
             if merged.metrics.iter().any(|(k, _)| k == key) {
                 continue;
             }
-            let mut vals: Vec<f64> = passes.iter().filter_map(|p| lookup(p, key)).collect();
-            vals.sort_by(f64::total_cmp);
-            let n = vals.len();
-            let median = if n % 2 == 1 {
-                vals[n / 2]
-            } else {
-                (vals[n / 2 - 1] + vals[n / 2]) / 2.0
-            };
+            let vals: Vec<f64> = passes.iter().filter_map(|p| lookup(p, key)).collect();
+            let median = median(vals).expect("`pass` itself carries the key");
             merged.metrics.push((key.clone(), median));
         }
         for (src, names) in &pass.sources {
@@ -164,18 +159,12 @@ fn host_speed_scale(current: &Baseline, baseline: &Baseline) -> Option<f64> {
     (cur > 0.0 && base > 0.0).then_some((base / cur).min(1.0))
 }
 
-/// True for rate metrics (`_gflops`, `_util`): higher is better, and the
-/// gate floor is `baseline * (1 - tol)` instead of a ceiling.
-fn is_rate(key: &str) -> bool {
-    key.ends_with(GFLOPS_SUFFIX) || key.ends_with(UTIL_SUFFIX)
-}
-
-/// Gates current bench metrics against the baseline. Plain metrics are
-/// durations (lower-is-better, current times rescaled by `scale` to the
-/// baseline host's speed); `_gflops` rates gate higher-is-better with the
-/// inverse rescaling (a slower host's achieved rate is discounted *up*,
-/// never down); `_util` is host-speed-independent and compared raw; `_ai`
-/// is never gated.
+/// Gates current bench metrics against the baseline through
+/// [`GateOutcome::check`], in each key's direction. Plain metrics are
+/// durations (current times rescaled by `scale` to the baseline host's
+/// speed); `_gflops` rates take the inverse rescaling (a slower host's
+/// achieved rate is discounted *up*, never down); `_util` is
+/// host-speed-independent and compared raw; `_ai` is never gated.
 fn gate_benches(
     current: &Baseline,
     baseline: &Baseline,
@@ -183,7 +172,6 @@ fn gate_benches(
     scale: f64,
 ) -> GateOutcome {
     let tol_pct = tol_pct.unwrap_or(baseline.tol_pct).max(0.0);
-    let tol = tol_pct / 100.0;
     let mut outcome = GateOutcome {
         checks: Vec::new(),
         tol_pct,
@@ -192,30 +180,24 @@ fn gate_benches(
         if key == CALIBRATION_METRIC || key.ends_with(AI_SUFFIX) {
             continue;
         }
-        let raw = lookup(current, key);
-        let (actual, pass) = if key.ends_with(GFLOPS_SUFFIX) {
-            let v = raw.map(|v| v / scale);
-            (v, v.is_some_and(|v| v >= base * (1.0 - tol) - f64::EPSILON))
-        } else if key.ends_with(UTIL_SUFFIX) {
-            (raw, raw.is_some_and(|v| v >= base * (1.0 - tol) - f64::EPSILON))
-        } else {
-            let v = raw.map(|v| v * scale);
-            (v, v.is_some_and(|v| v <= base * (1.0 + tol) + f64::EPSILON))
-        };
-        outcome.checks.push(GateCheck {
-            metric: key.clone(),
-            baseline: *base,
-            actual,
-            pass,
+        let actual = lookup(current, key).map(|v| {
+            if key.ends_with(GFLOPS_SUFFIX) {
+                v / scale
+            } else if key.ends_with(UTIL_SUFFIX) {
+                v
+            } else {
+                v * scale
+            }
         });
+        outcome.check(key, *base, actual);
     }
     outcome
 }
 
 /// Formats a metric value: duration units for times, plain numbers for
-/// the rate metrics (GFLOP/s and utilization are not durations).
+/// the higher-is-better rates (GFLOP/s and utilization are not durations).
 fn fmt_value(key: &str, v: f64) -> String {
-    if is_rate(key) {
+    if higher_is_better(key) {
         format!("{v:.3}")
     } else {
         fmt_duration(Duration::from_secs_f64(v.max(0.0)))

@@ -184,13 +184,6 @@ impl Scale {
 static TRACE_REQUESTED: AtomicBool = AtomicBool::new(false);
 static RUN_LEDGER: Mutex<Option<RunLedger>> = Mutex::new(None);
 
-/// The experiment's run ledger, opened by [`Scale::from_args`] (absent
-/// under `--no-run` or if creation failed). Binaries may lock it to
-/// attach dataset identity or append per-sample records.
-pub fn run_ledger() -> &'static Mutex<Option<RunLedger>> {
-    &RUN_LEDGER
-}
-
 /// Opens the run ledger for this bench invocation: manifest under
 /// `<root>/<bin>-<unix>-<pid>/` with the scale as config. Failure is
 /// non-fatal (benches still run without a ledger).

@@ -22,17 +22,16 @@ use std::io;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use litho_ledger::verdict::{higher_is_better, median};
 use litho_ledger::Baseline;
 use litho_tensor::profile::KernelCost;
 
-/// Suffix of derived achieved-GFLOP/s metrics written by
-/// [`MicroBench::run_costed`]. Rate metrics merge by *maximum* in
+/// Suffixes of the derived rate metrics written by
+/// [`MicroBench::run_costed`]: achieved GFLOP/s and worker-pool
+/// utilization (busy time over wall time across all pool threads during
+/// the bench). Both are higher-is-better, so they merge by *maximum* in
 /// [`MicroBench::flush_json`] and gate as higher-is-better in `perf_gate`.
-pub const GFLOPS_SUFFIX: &str = "_gflops";
-
-/// Suffix of derived worker-pool-utilization metrics (busy time over
-/// wall time across all pool threads during the bench). Higher is better.
-pub const UTIL_SUFFIX: &str = "_util";
+pub use litho_ledger::verdict::{GFLOPS_SUFFIX, UTIL_SUFFIX};
 
 /// Suffix of derived arithmetic-intensity metrics (FLOPs per byte). A
 /// shape constant, recorded for roofline context and never gated.
@@ -262,11 +261,7 @@ impl MicroBench {
         secs.sort_by(f64::total_cmp);
         let n = secs.len();
         let mean = secs.iter().sum::<f64>() / n as f64;
-        let median = if n % 2 == 1 {
-            secs[n / 2]
-        } else {
-            (secs[n / 2 - 1] + secs[n / 2]) / 2.0
-        };
+        let median = median(secs.clone()).expect("at least one sample");
         let var = secs.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
 
         if litho_telemetry::is_enabled() {
@@ -349,7 +344,7 @@ impl MicroBench {
 /// maximum for the same reason, and `_ai` — a shape constant — takes the
 /// latest value so a cost-model fix propagates.
 fn merge_metric(name: &str, old: f64, new: f64) -> f64 {
-    if name.ends_with(GFLOPS_SUFFIX) || name.ends_with(UTIL_SUFFIX) {
+    if higher_is_better(name) {
         old.max(new)
     } else if name.ends_with(AI_SUFFIX) {
         new

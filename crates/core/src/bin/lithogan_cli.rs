@@ -1031,7 +1031,6 @@ fn run(cmd: Command, opts: &GlobalOpts, ledger: &mut Option<RunLedger>) -> Resul
                         stride: health_stride.max(1),
                         abort_on: conds,
                         poison_nan_at_epoch,
-                        ..HealthConfig::default()
                     },
                 )
                 .map_err(io_err)?;
@@ -1344,13 +1343,7 @@ fn run(cmd: Command, opts: &GlobalOpts, ledger: &mut Option<RunLedger>) -> Resul
                     root.display()
                 )));
             }
-            let mut cfg = TrendConfig::default();
-            if let Some(p) = tol_pct {
-                cfg.tol_pct = p;
-            }
-            if let Some(n) = drift_runs {
-                cfg.drift_runs = n.max(1);
-            }
+            let cfg = TrendConfig::new(tol_pct, drift_runs);
             // `--slice family=F` redirects every metric to its per-family
             // slice key; runs without that slice simply have no value for
             // the key, so they abstain from the trend and its drift gate.

@@ -13,10 +13,11 @@ use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use litho_health::diagnose::{COLLAPSE_DIVERSITY, COLLAPSE_EPOCHS};
 use litho_health::record::NetId;
 use litho_health::{
     AbortCondition, CenterEpochRecord, GanEpochRecord, HealthRecord, HealthWriter, LayerRecord,
-    Pass, Thresholds, UpdateRecord,
+    Pass, UpdateRecord,
 };
 use litho_nn::{Optimizer, Sequential, StatsHook, TensorStats};
 use litho_tensor::{Result, Tensor, TensorError};
@@ -32,8 +33,6 @@ pub struct HealthConfig {
     /// Fault injection: poison one generator weight with NaN at the
     /// start of this epoch (testing the NaN pipeline end to end).
     pub poison_nan_at_epoch: Option<usize>,
-    /// Detection thresholds for online abort checks.
-    pub thresholds: Thresholds,
 }
 
 impl Default for HealthConfig {
@@ -42,7 +41,6 @@ impl Default for HealthConfig {
             stride: 8,
             abort_on: Vec::new(),
             poison_nan_at_epoch: None,
-            thresholds: Thresholds::default(),
         }
     }
 }
@@ -113,7 +111,6 @@ impl HealthMonitor {
             stride: self.config.stride.max(1),
             abort_on: self.config.abort_on.clone(),
             poison_nan_at_epoch: self.config.poison_nan_at_epoch,
-            thresholds: self.config.thresholds.clone(),
             step: 0,
             signals: GanSignals::default(),
             collapse_streak: 0,
@@ -207,7 +204,6 @@ pub(crate) struct LoopHealth {
     stride: u64,
     abort_on: Vec<AbortCondition>,
     poison_nan_at_epoch: Option<usize>,
-    thresholds: Thresholds,
     /// Optimizer steps taken (the loop's own step clock).
     step: u64,
     signals: GanSignals,
@@ -335,7 +331,7 @@ impl LoopHealth {
                 ],
             );
         }
-        if diversity.is_finite() && diversity < self.thresholds.collapse_diversity {
+        if diversity.is_finite() && diversity < COLLAPSE_DIVERSITY {
             self.collapse_streak += 1;
         } else {
             self.collapse_streak = 0;
@@ -385,10 +381,10 @@ impl LoopHealth {
                     }
                 }
                 AbortCondition::Collapse => {
-                    if self.collapse_streak >= self.thresholds.collapse_epochs {
+                    if self.collapse_streak >= COLLAPSE_EPOCHS {
                         return Err(TensorError::Aborted(format!(
                             "mode collapse: generator diversity below {} for {} epochs",
-                            self.thresholds.collapse_diversity, self.collapse_streak
+                            COLLAPSE_DIVERSITY, self.collapse_streak
                         )));
                     }
                 }

@@ -4,8 +4,8 @@
 //! Each rule produces at most one [`Diagnosis`] per subject (a layer, a
 //! parameter, a network or the run), stamped with the first epoch/step
 //! where the qualifying window *started* — the moment an operator staring
-//! at the run should rewind to. Thresholds live in [`Thresholds`] and are
-//! documented in DESIGN §4c; streak requirements exist to suppress
+//! at the run should rewind to. Thresholds are the constants below,
+//! tabled in DESIGN §4c; streak requirements exist to suppress
 //! single-step noise (e.g. the update ratio of a freshly-initialized bias
 //! is legitimately huge for a step or two).
 
@@ -110,55 +110,22 @@ impl Diagnosis {
     }
 }
 
-/// Tunable rule thresholds; `Default` matches DESIGN §4c.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Thresholds {
-    /// A backward ℓ2 below this is "vanished"...
-    pub vanish_l2: f64,
-    /// ...but only while some layer in the same pass exceeds this
-    /// (otherwise the whole pass is quiet, e.g. at convergence).
-    pub vanish_context_l2: f64,
-    /// Consecutive sampled passes required.
-    pub vanish_passes: usize,
-    /// Update-to-weight ratio at or above this is an overshoot...
-    pub explode_ratio: f64,
-    /// ...ignoring params with ‖w‖ below this floor (fresh zero-init
-    /// biases legitimately have huge ratios).
-    pub explode_weight_floor: f64,
-    /// Consecutive sampled optimizer steps required.
-    pub explode_steps: usize,
-    /// Zero fraction at or above this counts as dead.
-    pub dead_zero_frac: f64,
-    /// Minimum sampled observations, all dead, before flagging.
-    pub dead_min_passes: usize,
-    /// D accuracy (real *and* fake) above this is "near-perfect".
-    pub d_overpower_acc: f64,
-    /// Consecutive epochs required.
-    pub d_overpower_epochs: usize,
-    /// Generator batch-std below this counts as collapsed.
-    pub collapse_diversity: f64,
-    /// Consecutive epochs required.
-    pub collapse_epochs: usize,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            vanish_l2: 1e-8,
-            vanish_context_l2: 1e-3,
-            vanish_passes: 2,
-            explode_ratio: 1.0,
-            explode_weight_floor: 1e-6,
-            explode_steps: 3,
-            dead_zero_frac: 0.995,
-            dead_min_passes: 2,
-            d_overpower_acc: 0.95,
-            d_overpower_epochs: 3,
-            collapse_diversity: 1e-3,
-            collapse_epochs: 2,
-        }
-    }
-}
+// Rule thresholds, as tabled in DESIGN §4c.
+const VANISH_L2: f64 = 1e-8; // a backward ℓ2 below this is "vanished"...
+const VANISH_CONTEXT_L2: f64 = 1e-3; // ...while another layer of the pass exceeds this
+const VANISH_PASSES: usize = 2; // consecutive sampled passes
+const EXPLODE_RATIO: f64 = 1.0; // update/weight ratio at or above this overshoots...
+const EXPLODE_WEIGHT_FLOOR: f64 = 1e-6; // ...for ‖w‖ above this (fresh biases are exempt)
+const EXPLODE_STEPS: usize = 3; // consecutive sampled optimizer steps
+const DEAD_ZERO_FRAC: f64 = 0.995; // zero fraction at or above this is dead
+const DEAD_MIN_PASSES: usize = 2; // sampled observations, all dead
+const D_OVERPOWER_ACC: f64 = 0.95; // real *and* fake D accuracy above this
+const D_OVERPOWER_EPOCHS: usize = 3; // consecutive epochs
+/// Generator batch-std below this counts as collapsed; the online
+/// `--abort-on collapse` check reads it too.
+pub const COLLAPSE_DIVERSITY: f64 = 1e-3;
+/// Consecutive collapsed epochs before `mode-collapse` fires.
+pub const COLLAPSE_EPOCHS: usize = 2;
 
 /// Tracks a consecutive-hit window and remembers where it started.
 ///
@@ -197,13 +164,13 @@ impl Streak {
 ///
 /// Records are expected in file order (training order); the rules are
 /// streak-based, so shuffled input would produce nonsense.
-pub fn diagnose(records: &[HealthRecord], t: &Thresholds) -> Vec<Diagnosis> {
+pub fn diagnose(records: &[HealthRecord]) -> Vec<Diagnosis> {
     let mut out = Vec::new();
     nan_poisoned(records, &mut out);
-    vanishing_gradient(records, t, &mut out);
-    exploding_update(records, t, &mut out);
-    dead_layer(records, t, &mut out);
-    gan_rules(records, t, &mut out);
+    vanishing_gradient(records, &mut out);
+    exploding_update(records, &mut out);
+    dead_layer(records, &mut out);
+    gan_rules(records, &mut out);
     out.sort_by(|a, b| (a.kind, &a.subject).cmp(&(b.kind, &b.subject)));
     out
 }
@@ -249,7 +216,7 @@ fn nan_poisoned(records: &[HealthRecord], out: &mut Vec<Diagnosis>) {
     }
 }
 
-fn vanishing_gradient(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Diagnosis>) {
+fn vanishing_gradient(records: &[HealthRecord], out: &mut Vec<Diagnosis>) {
     // Group backward records into passes keyed by (net, step) so a
     // layer's ℓ2 can be judged against the healthiest layer of its own
     // pass. File order within a pass is preserved.
@@ -268,8 +235,8 @@ fn vanishing_gradient(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Di
             let entry = streaks
                 .entry(key.clone())
                 .or_insert_with(|| (Streak::default(), r.name.clone()));
-            if r.l2 < t.vanish_l2 && max_l2 > t.vanish_context_l2 {
-                if entry.0.hit(r.epoch, r.step, t.vanish_passes) {
+            if r.l2 < VANISH_L2 && max_l2 > VANISH_CONTEXT_L2 {
+                if entry.0.hit(r.epoch, r.step, VANISH_PASSES) {
                     done.insert(key, ());
                     out.push(Diagnosis {
                         kind: DiagnosisKind::VanishingGradient,
@@ -278,7 +245,7 @@ fn vanishing_gradient(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Di
                         first_step: Some(entry.0.start_step),
                         detail: format!(
                             "grad l2 {:.1e} while pass max {:.1e}, {} consecutive sampled passes",
-                            r.l2, max_l2, t.vanish_passes
+                            r.l2, max_l2, VANISH_PASSES
                         ),
                     });
                 }
@@ -305,7 +272,7 @@ fn vanishing_gradient(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Di
     flush(&mut pass);
 }
 
-fn exploding_update(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Diagnosis>) {
+fn exploding_update(records: &[HealthRecord], out: &mut Vec<Diagnosis>) {
     let mut streaks: BTreeMap<(String, u64), Streak> = BTreeMap::new();
     let mut done: BTreeMap<(String, u64), ()> = BTreeMap::new();
     for rec in records {
@@ -317,8 +284,8 @@ fn exploding_update(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Diag
             continue;
         }
         let streak = streaks.entry(key.clone()).or_default();
-        if r.ratio >= t.explode_ratio && r.weight_l2 > t.explode_weight_floor {
-            if streak.hit(r.epoch, r.step, t.explode_steps) {
+        if r.ratio >= EXPLODE_RATIO && r.weight_l2 > EXPLODE_WEIGHT_FLOOR {
+            if streak.hit(r.epoch, r.step, EXPLODE_STEPS) {
                 done.insert(key, ());
                 out.push(Diagnosis {
                     kind: DiagnosisKind::ExplodingUpdate,
@@ -327,7 +294,7 @@ fn exploding_update(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Diag
                     first_step: Some(streak.start_step),
                     detail: format!(
                         "update/weight ratio {:.2} over {} consecutive sampled steps",
-                        r.ratio, t.explode_steps
+                        r.ratio, EXPLODE_STEPS
                     ),
                 });
             }
@@ -337,7 +304,7 @@ fn exploding_update(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Diag
     }
 }
 
-fn dead_layer(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Diagnosis>) {
+fn dead_layer(records: &[HealthRecord], out: &mut Vec<Diagnosis>) {
     // (first record, name, observations, all dead so far)
     struct Acc {
         first_epoch: u64,
@@ -362,10 +329,10 @@ fn dead_layer(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Diagnosis>
             all_dead: true,
         });
         acc.passes += 1;
-        acc.all_dead &= r.zero_frac >= t.dead_zero_frac;
+        acc.all_dead &= r.zero_frac >= DEAD_ZERO_FRAC;
     }
     for ((net, layer), acc) in accs {
-        if acc.all_dead && acc.passes >= t.dead_min_passes {
+        if acc.all_dead && acc.passes >= DEAD_MIN_PASSES {
             out.push(Diagnosis {
                 kind: DiagnosisKind::DeadLayer,
                 subject: format!("{} layer {} ({})", net, layer, acc.name),
@@ -373,14 +340,14 @@ fn dead_layer(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Diagnosis>
                 first_step: Some(acc.first_step),
                 detail: format!(
                     "zero fraction ≥ {} on all {} sampled passes",
-                    t.dead_zero_frac, acc.passes
+                    DEAD_ZERO_FRAC, acc.passes
                 ),
             });
         }
     }
 }
 
-fn gan_rules(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Diagnosis>) {
+fn gan_rules(records: &[HealthRecord], out: &mut Vec<Diagnosis>) {
     let mut overpower = Streak::default();
     let mut overpower_done = false;
     let mut collapse = Streak::default();
@@ -390,8 +357,8 @@ fn gan_rules(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Diagnosis>)
             continue;
         };
         if !overpower_done {
-            if g.d_real_acc > t.d_overpower_acc && g.d_fake_acc > t.d_overpower_acc {
-                if overpower.hit(g.epoch, 0, t.d_overpower_epochs) {
+            if g.d_real_acc > D_OVERPOWER_ACC && g.d_fake_acc > D_OVERPOWER_ACC {
+                if overpower.hit(g.epoch, 0, D_OVERPOWER_EPOCHS) {
                     overpower_done = true;
                     out.push(Diagnosis {
                         kind: DiagnosisKind::DOverpowersG,
@@ -400,7 +367,7 @@ fn gan_rules(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Diagnosis>)
                         first_step: None,
                         detail: format!(
                             "real/fake accuracy {:.2}/{:.2} > {} for {} consecutive epochs",
-                            g.d_real_acc, g.d_fake_acc, t.d_overpower_acc, t.d_overpower_epochs
+                            g.d_real_acc, g.d_fake_acc, D_OVERPOWER_ACC, D_OVERPOWER_EPOCHS
                         ),
                     });
                 }
@@ -409,8 +376,8 @@ fn gan_rules(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Diagnosis>)
             }
         }
         if !collapse_done {
-            if g.diversity < t.collapse_diversity {
-                if collapse.hit(g.epoch, 0, t.collapse_epochs) {
+            if g.diversity < COLLAPSE_DIVERSITY {
+                if collapse.hit(g.epoch, 0, COLLAPSE_EPOCHS) {
                     collapse_done = true;
                     out.push(Diagnosis {
                         kind: DiagnosisKind::ModeCollapse,
@@ -419,7 +386,7 @@ fn gan_rules(records: &[HealthRecord], t: &Thresholds, out: &mut Vec<Diagnosis>)
                         first_step: None,
                         detail: format!(
                             "output diversity {:.1e} < {:.1e} for {} consecutive epochs",
-                            g.diversity, t.collapse_diversity, t.collapse_epochs
+                            g.diversity, COLLAPSE_DIVERSITY, COLLAPSE_EPOCHS
                         ),
                     });
                 }
@@ -438,7 +405,7 @@ pub enum AbortCondition {
     /// Abort on the first NaN/Inf sentinel anywhere.
     Nan,
     /// Abort when generator diversity collapses for
-    /// [`Thresholds::collapse_epochs`] consecutive epochs.
+    /// [`COLLAPSE_EPOCHS`] consecutive epochs.
     Collapse,
 }
 
@@ -559,7 +526,7 @@ mod tests {
                 grad_norm: 0.2,
             }),
         ];
-        assert!(diagnose(&recs, &Thresholds::default()).is_empty());
+        assert!(diagnose(&recs).is_empty());
     }
 
     #[test]
@@ -569,7 +536,7 @@ mod tests {
             fwd("G", 12, 1, 0.2, 5),
             fwd("G", 20, 1, 0.2, 9),
         ];
-        let diags = diagnose(&recs, &Thresholds::default());
+        let diags = diagnose(&recs);
         assert_eq!(kinds(&diags), vec![DiagnosisKind::NanPoisoned]);
         assert_eq!(diags[0].first_step, Some(12));
         assert!(diags[0].to_line().contains("nan-poisoned"));
@@ -577,7 +544,6 @@ mod tests {
 
     #[test]
     fn vanishing_gradient_needs_consecutive_passes_with_context() {
-        let t = Thresholds::default();
         // Layer 0 vanished twice in a row while layer 2 stays healthy.
         let recs = vec![
             bwd("G", 8, 2, 0.5),
@@ -587,28 +553,27 @@ mod tests {
             bwd("G", 16, 1, 0.01),
             bwd("G", 16, 0, 1e-10),
         ];
-        let diags = diagnose(&recs, &t);
+        let diags = diagnose(&recs);
         assert_eq!(kinds(&diags), vec![DiagnosisKind::VanishingGradient]);
         assert_eq!(diags[0].first_epoch, 0);
         assert_eq!(diags[0].first_step, Some(8));
         assert!(diags[0].subject.contains("G layer 0"));
 
         // A single vanished pass, or a globally quiet pass, is not enough.
-        let single = diagnose(&recs[..3], &t);
+        let single = diagnose(&recs[..3]);
         assert!(single.is_empty());
         let quiet = vec![bwd("G", 8, 0, 1e-9), bwd("G", 16, 0, 1e-9)];
-        assert!(diagnose(&quiet, &t).is_empty(), "no healthy context layer");
+        assert!(diagnose(&quiet).is_empty(), "no healthy context layer");
     }
 
     #[test]
     fn exploding_update_needs_three_consecutive_steps() {
-        let t = Thresholds::default();
         let recs = vec![
             update(8, 3, 1.5, 0.5),
             update(16, 3, 2.0, 0.5),
             update(24, 3, 3.0, 0.5),
         ];
-        let diags = diagnose(&recs, &t);
+        let diags = diagnose(&recs);
         assert_eq!(kinds(&diags), vec![DiagnosisKind::ExplodingUpdate]);
         assert_eq!(diags[0].first_step, Some(8));
 
@@ -619,7 +584,7 @@ mod tests {
             update(24, 3, 2.0, 0.5),
             update(32, 3, 2.0, 0.5),
         ];
-        assert!(diagnose(&broken, &t).is_empty());
+        assert!(diagnose(&broken).is_empty());
 
         // Tiny weights (fresh biases) are exempt.
         let fresh = vec![
@@ -627,55 +592,51 @@ mod tests {
             update(16, 3, 5.0, 1e-9),
             update(24, 3, 5.0, 1e-9),
         ];
-        assert!(diagnose(&fresh, &t).is_empty());
+        assert!(diagnose(&fresh).is_empty());
     }
 
     #[test]
     fn dead_layer_requires_every_sampled_pass_dead() {
-        let t = Thresholds::default();
         let dead = vec![fwd("D", 8, 1, 1.0, 0), fwd("D", 16, 1, 0.999, 0)];
-        let diags = diagnose(&dead, &t);
+        let diags = diagnose(&dead);
         assert_eq!(kinds(&diags), vec![DiagnosisKind::DeadLayer]);
         assert_eq!(diags[0].first_step, Some(8));
         assert!(diags[0].subject.contains("D layer 1 (ReLU)"));
 
         // One live pass clears it; one observation is not enough.
         let revived = vec![fwd("D", 8, 1, 1.0, 0), fwd("D", 16, 1, 0.5, 0)];
-        assert!(diagnose(&revived, &t).is_empty());
-        assert!(diagnose(&dead[..1], &t).is_empty());
+        assert!(diagnose(&revived).is_empty());
+        assert!(diagnose(&dead[..1]).is_empty());
         // Dropout-like 50% zeros never qualifies.
         let dropout = vec![fwd("D", 8, 2, 0.5, 0), fwd("D", 16, 2, 0.5, 0)];
-        assert!(diagnose(&dropout, &t).is_empty());
+        assert!(diagnose(&dropout).is_empty());
     }
 
     #[test]
     fn d_overpowers_g_after_three_perfect_epochs() {
-        let t = Thresholds::default();
         let recs = vec![
             gan(0, 0.7, 0.2),
             gan(1, 0.99, 0.2),
             gan(2, 0.98, 0.2),
             gan(3, 0.97, 0.2),
         ];
-        let diags = diagnose(&recs, &t);
+        let diags = diagnose(&recs);
         assert_eq!(kinds(&diags), vec![DiagnosisKind::DOverpowersG]);
         assert_eq!(diags[0].first_epoch, 1);
-        assert!(diagnose(&recs[..3], &t).is_empty());
+        assert!(diagnose(&recs[..3]).is_empty());
     }
 
     #[test]
     fn mode_collapse_after_two_flat_epochs() {
-        let t = Thresholds::default();
         let recs = vec![gan(0, 0.7, 0.2), gan(1, 0.7, 1e-5), gan(2, 0.7, 1e-6)];
-        let diags = diagnose(&recs, &t);
+        let diags = diagnose(&recs);
         assert_eq!(kinds(&diags), vec![DiagnosisKind::ModeCollapse]);
         assert_eq!(diags[0].first_epoch, 1);
-        assert!(diagnose(&recs[..2], &t).is_empty());
+        assert!(diagnose(&recs[..2]).is_empty());
     }
 
     #[test]
     fn all_six_can_fire_together_and_sort_stably() {
-        let t = Thresholds::default();
         let mut recs = vec![
             // dead layer + nan
             fwd("G", 8, 0, 1.0, 1),
@@ -693,7 +654,7 @@ mod tests {
         for e in 0..4 {
             recs.push(gan(e, 0.99, 1e-6));
         }
-        let diags = diagnose(&recs, &t);
+        let diags = diagnose(&recs);
         let mut got = kinds(&diags);
         got.dedup();
         assert_eq!(

@@ -23,7 +23,7 @@ pub mod diagnose;
 pub use litho_json as json;
 pub mod record;
 
-pub use diagnose::{diagnose, AbortCondition, Diagnosis, DiagnosisKind, Streak, Thresholds};
+pub use diagnose::{diagnose, AbortCondition, Diagnosis, DiagnosisKind, Streak};
 pub use record::{
     decode_record, parse_health_file, parse_health_str, CenterEpochRecord, GanEpochRecord,
     HealthParse, HealthRecord, HealthWriter, LayerRecord, Pass, UpdateRecord,

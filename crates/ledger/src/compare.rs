@@ -13,16 +13,7 @@ use std::path::Path;
 
 use crate::json::Json;
 use crate::report::{fmt_us, metric_rows, RunData};
-
-/// Is a larger value of this metric an improvement? Slice-qualified keys
-/// (`ede_mean_nm{family=chain1d}`) follow their base metric.
-fn higher_is_better(key: &str) -> bool {
-    let base = crate::index::split_slice_key(key).map_or(key, |(metric, _)| metric);
-    matches!(
-        base,
-        "pixel_accuracy" | "class_accuracy" | "mean_iou" | "samples_per_sec"
-    )
-}
+use crate::verdict::{higher_is_better, verdict, Verdict};
 
 /// Extracts the gateable metrics of a run: the aggregated per-sample
 /// metrics plus `wall_clock_s` and per-span totals under `span:<path>`
@@ -277,6 +268,21 @@ pub struct GateOutcome {
 }
 
 impl GateOutcome {
+    /// Records `metric`'s check against its baseline value: it fails when
+    /// the actual value is missing or regressed beyond [`Self::tol_pct`]
+    /// in the metric's direction.
+    pub fn check(&mut self, metric: &str, baseline: f64, actual: Option<f64>) {
+        let pass = actual.is_some_and(|v| {
+            verdict(v, baseline, self.tol_pct, higher_is_better(metric)) != Verdict::Regressed
+        });
+        self.checks.push(GateCheck {
+            metric: metric.to_string(),
+            baseline,
+            actual,
+            pass,
+        });
+    }
+
     pub fn passed(&self) -> bool {
         self.checks.iter().all(|c| c.pass)
     }
@@ -334,7 +340,6 @@ impl GateOutcome {
 /// look in-tolerance while the model is numerically poisoned.
 pub fn gate(run: &RunData, baseline: &Baseline, tol_pct_override: Option<f64>) -> GateOutcome {
     let tol_pct = tol_pct_override.unwrap_or(baseline.tol_pct).max(0.0);
-    let tol = tol_pct / 100.0;
     let metrics = run_metrics(run);
     let mut outcome = GateOutcome {
         checks: Vec::new(),
@@ -350,25 +355,7 @@ pub fn gate(run: &RunData, baseline: &Baseline, tol_pct_override: Option<f64>) -
         });
     }
     for (key, base) in &baseline.metrics {
-        let actual = lookup(&metrics, key);
-        let pass = match actual {
-            None => false,
-            Some(v) => {
-                if higher_is_better(key) {
-                    v >= base * (1.0 - tol)
-                } else {
-                    // Lower is better; a zero/negative baseline still
-                    // admits `base * (1 + tol)` as the ceiling.
-                    v <= base * (1.0 + tol) + f64::EPSILON
-                }
-            }
-        };
-        outcome.checks.push(GateCheck {
-            metric: key.clone(),
-            baseline: *base,
-            actual,
-            pass,
-        });
+        outcome.check(key, *base, lookup(&metrics, key));
     }
     outcome
 }

@@ -625,6 +625,15 @@ mod tests {
         assert!(text.contains("lithogan_drift_active{metric=\"ede_mean_nm\"} 1\n"), "{text}");
         assert!(text.contains("lithogan_drift_streak_runs{metric=\"ede_mean_nm\"} 2\n"));
         assert!(text.contains("lithogan_drift_active{metric=\"samples_per_sec\"} 0\n"));
+
+        // Throughput is higher-is-better: two runs at half speed drift.
+        let records: Vec<IndexRecord> = [40.0, 41.0, 40.0, 39.0, 20.0, 20.5]
+            .iter()
+            .enumerate()
+            .map(|(i, v)| rec(&format!("e{i}"), "eval", i as u64, "ok", &[("samples_per_sec", *v)]))
+            .collect();
+        let text = prometheus_exposition(&records, &[], None, &TrendConfig::default());
+        assert!(text.contains("lithogan_drift_active{metric=\"samples_per_sec\"} 1\n"), "{text}");
     }
 
     #[test]

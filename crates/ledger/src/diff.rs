@@ -13,6 +13,8 @@ use std::fmt::Write as _;
 
 use litho_metrics::SampleRecord;
 
+use crate::verdict::{higher_is_better, verdict, Verdict};
+
 /// One joined clip in a [`DiffEval`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffEntry {
@@ -76,7 +78,6 @@ pub fn diff_eval(
     records_b: &[SampleRecord],
     tol_pct: f64,
 ) -> DiffEval {
-    let tol = tol_pct.max(0.0) / 100.0;
     let mut out = DiffEval {
         run_a: run_a.to_string(),
         run_b: run_b.to_string(),
@@ -133,12 +134,10 @@ pub fn diff_eval(
                     (None, Some(_)) => out.improved.push(entry),
                     (None, None) => out.unchanged += 1,
                     (Some(va), Some(vb)) => {
-                        if vb > va * (1.0 + tol) + f64::EPSILON {
-                            out.regressed.push(entry);
-                        } else if vb < va * (1.0 - tol) - f64::EPSILON {
-                            out.improved.push(entry);
-                        } else {
-                            out.unchanged += 1;
+                        match verdict(vb, va, tol_pct, higher_is_better("ede_mean_nm")) {
+                            Verdict::Regressed => out.regressed.push(entry),
+                            Verdict::Improved => out.improved.push(entry),
+                            Verdict::Within => out.unchanged += 1,
                         }
                     }
                 }

@@ -13,7 +13,7 @@ use std::path::Path;
 
 use litho_health::{
     diagnose, parse_health_file, CenterEpochRecord, Diagnosis, GanEpochRecord, HealthParse,
-    HealthRecord, Pass, Thresholds,
+    HealthRecord, Pass,
 };
 
 use crate::dash::escape_html;
@@ -96,8 +96,7 @@ pub struct HealthAnalysis {
 }
 
 impl HealthAnalysis {
-    /// Aggregates a decoded stream and runs the diagnoser (default
-    /// [`Thresholds`]).
+    /// Aggregates a decoded stream and runs the diagnoser.
     pub fn from_parse(parse: &HealthParse) -> HealthAnalysis {
         let mut layers: Vec<LayerHealth> = Vec::new();
         let mut updates: Vec<UpdateHealth> = Vec::new();
@@ -163,7 +162,7 @@ impl HealthAnalysis {
         updates.sort_by(|a, b| (&a.net, a.param).cmp(&(&b.net, b.param)));
         analysis.layers = layers;
         analysis.updates = updates;
-        analysis.diagnoses = diagnose(&parse.records, &Thresholds::default());
+        analysis.diagnoses = diagnose(&parse.records);
         analysis
     }
 

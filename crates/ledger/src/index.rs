@@ -18,7 +18,7 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use litho_health::{diagnose, parse_health_file, Thresholds};
+use litho_health::{diagnose, parse_health_file};
 use litho_json::jsonl::parse_jsonl_with;
 use litho_json::Json;
 use litho_metrics::{MetricAccumulator, MetricSummary};
@@ -27,21 +27,6 @@ use crate::manifest::{load_manifest, load_records, RunManifest};
 
 /// Index record schema version, bumped on incompatible changes.
 pub const INDEX_SCHEMA: u32 = 1;
-
-/// The headline metrics an index record carries (the paper's Tables 3–4
-/// axes plus sample count, inference throughput and the compute-plane
-/// profile: pool utilization and peak workspace footprint).
-pub const HEADLINE_METRICS: [&str; 9] = [
-    "samples",
-    "ede_mean_nm",
-    "pixel_accuracy",
-    "class_accuracy",
-    "mean_iou",
-    "center_error_nm",
-    "samples_per_sec",
-    "pool_utilization",
-    "peak_workspace_bytes",
-];
 
 /// One line of `runs/index.jsonl`: the fleet-level summary of one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,8 +45,10 @@ pub struct IndexRecord {
     /// Effective SIMD kernel level (`"scalar"` / `"avx2"`); `None` on
     /// records from before runtime kernel dispatch existed.
     pub simd: Option<String>,
-    /// Headline metrics (subset of [`HEADLINE_METRICS`], absent when the
-    /// run wrote no sample records).
+    /// Headline metrics, as [`record_from_parts`] picks them: the paper's
+    /// Tables 3–4 axes with their per-family EDE slices, sample count,
+    /// throughput, pool utilization and peak workspace footprint. Each
+    /// is absent when the run did not record it.
     pub metrics: Vec<(String, f64)>,
     /// `"ok"` or a comma-joined diagnosis list; `None` when the run
     /// carried no health stream.
@@ -261,14 +248,14 @@ pub fn headline_metrics(s: &MetricSummary) -> Vec<(String, f64)> {
 
 /// The health verdict of a run directory: `None` without a health
 /// stream, `"ok"` for a clean one, else the comma-joined diagnosis
-/// kinds (default [`Thresholds`]).
+/// kinds.
 pub fn health_verdict(run_dir: &Path) -> Option<String> {
     let path = run_dir.join("health.jsonl");
     if !path.exists() {
         return None;
     }
     let parse = parse_health_file(&path).ok()?;
-    let diagnoses = diagnose(&parse.records, &Thresholds::default());
+    let diagnoses = diagnose(&parse.records);
     if diagnoses.is_empty() {
         return Some("ok".to_string());
     }

@@ -40,6 +40,8 @@
 //! JSONL streams.
 
 pub use litho_json as json;
+/// The content hash of dataset fingerprints, also used for alert keys.
+pub use litho_tensor::fnv::Fnv1a;
 
 mod compare;
 pub mod dash;
@@ -53,6 +55,7 @@ mod svg;
 mod trace;
 pub mod trend;
 mod triage;
+pub mod verdict;
 pub mod watch;
 
 pub use compare::{gate, render_compare, run_metrics, Baseline, GateCheck, GateOutcome};

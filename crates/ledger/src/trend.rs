@@ -15,15 +15,7 @@ use litho_health::Streak;
 
 use crate::dash::escape_html;
 use crate::index::IndexRecord;
-
-/// Metrics where larger values are better (accuracies/IoU); everything
-/// else — error distances, wall clock, memory — is lower-is-better.
-/// Slice-qualified keys (`ede_mean_nm{family=chain1d}`) inherit the
-/// direction of their base metric.
-pub(crate) fn higher_is_better(key: &str) -> bool {
-    let base = crate::index::split_slice_key(key).map_or(key, |(metric, _)| metric);
-    matches!(base, "pixel_accuracy" | "class_accuracy" | "mean_iou")
-}
+use crate::verdict::{higher_is_better, median, verdict, Verdict};
 
 /// Tuning for the drift detector.
 #[derive(Debug, Clone, Copy)]
@@ -36,9 +28,17 @@ pub struct TrendConfig {
 
 impl Default for TrendConfig {
     fn default() -> Self {
+        TrendConfig::new(None, None)
+    }
+}
+
+impl TrendConfig {
+    /// The defaults (10%, 2 runs) with each given override applied;
+    /// `drift_runs` is at least 1, since a zero-run streak never fires.
+    pub fn new(tol_pct: Option<f64>, drift_runs: Option<usize>) -> TrendConfig {
         TrendConfig {
-            tol_pct: 10.0,
-            drift_runs: 2,
+            tol_pct: tol_pct.unwrap_or(10.0),
+            drift_runs: drift_runs.unwrap_or(2).max(1),
         }
     }
 }
@@ -81,28 +81,6 @@ pub struct Trend {
     pub drift: Option<Drift>,
 }
 
-fn median(mut values: Vec<f64>) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = values.len();
-    Some(if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        0.5 * (values[n / 2 - 1] + values[n / 2])
-    })
-}
-
-fn is_off(value: f64, reference: f64, metric: &str, tol_pct: f64) -> bool {
-    let tol = tol_pct / 100.0;
-    if higher_is_better(metric) {
-        value < reference - reference.abs() * tol
-    } else {
-        value > reference + reference.abs() * tol
-    }
-}
-
 /// Builds the trend for `metric` over (the last `last` of) the index
 /// records, which must already be chronological (as [`crate::load_index`]
 /// returns them). NaN values are treated as off-median outright — a
@@ -121,6 +99,7 @@ pub fn trend(
         .filter(|v| v.is_finite())
         .collect();
     let reference = median(values);
+    let hib = higher_is_better(metric);
 
     let mut points = Vec::with_capacity(window.len());
     let mut drift: Option<Drift> = None;
@@ -129,7 +108,9 @@ pub fn trend(
         let value = rec.metric(metric);
         let off = match (value, reference) {
             (Some(v), _) if !v.is_finite() => true,
-            (Some(v), Some(reference)) => is_off(v, reference, metric, cfg.tol_pct),
+            (Some(v), Some(reference)) => {
+                verdict(v, reference, cfg.tol_pct, hib) == Verdict::Regressed
+            }
             _ => false,
         };
         if let Some(v) = value {
@@ -147,12 +128,9 @@ pub fn trend(
                 } else if let Some(d) = drift.as_mut() {
                     if streak.len > d.runs {
                         d.runs = streak.len;
-                        let worse = if higher_is_better(metric) {
-                            v < d.worst
-                        } else {
-                            v > d.worst
-                        };
-                        if worse {
+                        // The worst so far beats `v`: `v` is the new
+                        // worst (never across a NaN, either side).
+                        if verdict(d.worst, v, 0.0, hib) == Verdict::Improved {
                             d.worst = v;
                         }
                     }
@@ -586,6 +564,22 @@ mod tests {
         assert!(t.drift.is_none());
         assert_eq!(t.points.len(), 2);
         assert_eq!(t.reference, Some(0.4));
+
+        // Throughput and pool utilization are higher-is-better too: the
+        // same halving drifts, a 2x rise for two runs does not.
+        for metric in ["samples_per_sec", "pool_utilization"] {
+            let mut series = records.clone();
+            for r in &mut series {
+                r.metrics[0].0 = metric.to_string();
+            }
+            let t = trend(&series, metric, None, &TrendConfig::default());
+            assert!(t.drift.is_some(), "{metric}: a halving drifts");
+            for r in &mut series[4..] {
+                r.metrics[0].1 = 1.6;
+            }
+            let t = trend(&series, metric, None, &TrendConfig::default());
+            assert!(t.drift.is_none(), "{metric}: a 2x rise is not drift");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use litho_health::{decode_record, diagnose, HealthRecord, Thresholds};
+use litho_health::{decode_record, diagnose, HealthRecord};
 use litho_json::jsonl::JsonlTailer;
 
 use crate::manifest::{load_manifest, RunManifest};
@@ -252,7 +252,7 @@ impl WatchSession {
         let diagnoses = if self.health_records.is_empty() {
             Vec::new()
         } else {
-            diagnose(&self.health_records, &Thresholds::default())
+            diagnose(&self.health_records)
                 .iter()
                 .map(|d| format!("{} {}", d.kind.as_str(), d.subject))
                 .collect()

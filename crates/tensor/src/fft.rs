@@ -332,29 +332,6 @@ pub fn convolve2_real(a: &[f64], b: &[f64], h: usize, w: usize) -> Result<Vec<f6
     Ok(fa.iter().map(|c| c.re).collect())
 }
 
-/// Cyclic 2-D complex convolution: returns `a ⊛ b` where both are spatial
-/// domain complex fields. Used for amplitude (coherent) imaging.
-///
-/// # Errors
-///
-/// Propagates FFT validation errors.
-pub fn convolve2_complex(
-    a: &[Complex],
-    b: &[Complex],
-    h: usize,
-    w: usize,
-) -> Result<Vec<Complex>> {
-    let mut fa = a.to_vec();
-    let mut fb = b.to_vec();
-    fft2_in_place(&mut fa, h, w, FftDirection::Forward)?;
-    fft2_in_place(&mut fb, h, w, FftDirection::Forward)?;
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x = *x * *y;
-    }
-    fft2_in_place(&mut fa, h, w, FftDirection::Inverse)?;
-    Ok(fa)
-}
-
 /// Rearranges a kernel whose centre sits at `(h/2, w/2)` into wrap-around
 /// order with the centre at `(0, 0)` (an `ifftshift`).
 pub fn shift_kernel_to_origin(kernel: &[f64], h: usize, w: usize) -> Vec<f64> {

@@ -20,6 +20,7 @@
 //!   classification behind the kernel profiling telemetry.
 //! * [`rng`] — vendored deterministic PRNGs (SplitMix64, xoshiro256++) so
 //!   the workspace builds with no external dependencies.
+//! * [`fnv`] — the FNV-1a 64 content hash behind every fingerprint.
 //!
 //! # Example
 //!
@@ -39,6 +40,7 @@
 pub mod alloc;
 mod error;
 pub mod fft;
+pub mod fnv;
 mod fused;
 mod im2col;
 mod matmul;

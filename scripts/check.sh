@@ -49,6 +49,15 @@ run=$(ls "$work/runs" | grep '^train-')
 test -s "$work/runs/$run/dashboard.svg"
 "$cli" --runs-root "$work/runs" compare "$run" --gate ci/baseline.json
 
+echo "==> verdict identity"
+# An unchanged value is within tolerance at --tol-pct 0 in both
+# directions: the run against a baseline written from itself (EDE is
+# lower-is-better, the accuracies higher), and the committed kernel
+# baseline against itself (times lower, _gflops/_util higher).
+"$cli" --runs-root "$work/runs" compare "$run" --write-baseline "$work/self.json"
+"$cli" --runs-root "$work/runs" compare "$run" --gate "$work/self.json" --tol-pct 0
+target/release/perf_gate --current ci/BENCH_KERNELS.json --baseline ci/BENCH_KERNELS.json --tol-pct 0
+
 echo "==> compute-plane profile"
 # grep without -q reads to EOF: -q exits at first match and the CLI
 # panics on EPIPE mid-table.
